@@ -153,15 +153,18 @@ def certify_layout(
     *,
     tasks: Any = None,
     structure: str = "main",
+    proof: Any = None,
 ) -> Certificate:
     """Prove and certify one block layout under one backend.
 
     Serial/thread backends get the Scatter/Gather interval proof
     (:func:`~repro.analysis.races.prove_schedule`) restricted to the
-    backend's accumulation base; ``parallel-mp`` gets the process-pool
-    task-table proof over **both** bases, computed from the pure task
-    tables (:func:`repro.parallel.procpool.layout_reduce_tasks`) — no
-    pool is spawned and no shared memory is packed.
+    backend's accumulation base (derived from ``proof``, the caller's
+    own proof of the same ``layout``/``tasks`` schedule, when given);
+    ``parallel-mp`` gets the process-pool task-table proof over
+    **both** bases, computed from the pure task tables
+    (:func:`repro.parallel.procpool.layout_reduce_tasks`) — no pool is
+    spawned and no shared memory is packed.
     """
     from ..parallel.procpool import layout_fingerprint, layout_reduce_tasks
     from .races import prove_mp_reduce, prove_schedule
@@ -185,9 +188,9 @@ def certify_layout(
             if backend in ("bincount", "reduceat")
             else ("bincount", "reduceat")
         )
-        evidence = _proof_evidence(
-            prove_schedule(layout, tasks, bases=bases)
-        )
+        if proof is None:
+            proof = prove_schedule(layout, tasks, bases=bases)
+        evidence = _proof_evidence(proof.restricted(bases))
     return Certificate(
         kind=MAIN_SCHEDULE,
         structure=structure,

@@ -1,8 +1,8 @@
 """Race-freedom prover for the thread-pool kernel's task schedule.
 
 The ``parallel`` SpMV backend (:func:`repro.core.kernels.spmv_parallel`)
-dispatches one pool job per Scatter block task and one per Gather
-block-column, with a barrier between the phases.  Its correctness rests on
+runs every Scatter block task and every Gather block-column on a thread
+pool, with a barrier between the phases.  Its correctness rests on
 structural invariants of the :class:`~repro.frameworks.blocking.BlockLayout`
 metadata — disjoint per-task edge slices, column-confined destinations,
 monotone block offsets — all checkable *before* any thread runs:
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -98,6 +98,21 @@ class RaceProof:
             f"{', '.join(self.arrays)} "
             f"({self.num_intervals} intervals, "
             f"bases: {', '.join(self.bases)}) — race-free"
+        )
+
+    def restricted(self, bases: tuple) -> "RaceProof":
+        """This proof over a subset of its bases: each base's Gather is
+        one two-interval task per block-column (:func:`gather_accesses`),
+        so the subset's counts follow without re-proving."""
+        if not set(bases) <= set(self.bases):
+            raise RaceError(f"proof over {self.bases} does not cover {bases}")
+        per_base = self.num_gather_tasks // len(self.bases)
+        dropped = per_base * (len(self.bases) - len(bases))
+        return replace(
+            self,
+            num_gather_tasks=self.num_gather_tasks - dropped,
+            num_intervals=self.num_intervals - 2 * dropped,
+            bases=tuple(bases),
         )
 
 

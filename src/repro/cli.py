@@ -250,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
         "graph and layout options is warm",
     )
     serve.add_argument(
-        "--kernel", choices=KERNEL_NAMES, default="parallel",
-        help="serving kernel (top rung of the degradation ladder)",
+        "--kernel", choices=KERNEL_NAMES, default="reduceat",
+        help="serving kernel, the top rung of the degradation ladder "
+        "(default reduceat; auto serves from reduceat)",
     )
     serve.add_argument(
         "--mp-workers", type=int, default=None, metavar="N",
@@ -399,7 +400,8 @@ def _add_kernel_options(parser) -> None:
     parser.add_argument(
         "--kernel", choices=KERNEL_NAMES, default=None,
         help="SpMV backend for the blocked engines "
-        f"({', '.join(KERNEL_ENGINES)})",
+        f"({', '.join(KERNEL_ENGINES)}; default reduceat, auto = "
+        "reduceat, parallel/parallel-mp are opt-in pool rungs)",
     )
     parser.add_argument(
         "--validate", action="store_true",

@@ -10,8 +10,9 @@ Options expose the paper's design knobs for the ablation benches:
 Cache step), ``balance`` (block splitting), ``compress`` (edge compression
 in the traced bins) and ``block_nodes`` (the Figure 6/7 sweep parameter).
 ``kernel`` selects the Main-Phase SpMV backend
-(:mod:`repro.core.kernels`); the thread-pool kernel is the default,
-consuming the partition's balanced block tasks.
+(:mod:`repro.core.kernels`); the serial segmented-reduce ``reduceat``
+kernel is the default, and the opt-in pool kernels consume the
+partition's balanced block tasks.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class MixenEngine(Engine):
         cache_step: bool = True,
         compress: bool = False,
         edge_values=None,
-        kernel: str = "parallel",
+        kernel: str = "reduceat",
         max_workers: int | None = None,
         validate: bool = False,
         race_check: bool | None = None,
@@ -135,6 +136,7 @@ class MixenEngine(Engine):
             self.kernel,
             tasks=self.partition.tasks,
             structure="mixen-main",
+            proof=self.race_proof,
         )
         if self.validate:
             self._validate_contracts()

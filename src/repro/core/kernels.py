@@ -12,12 +12,15 @@ how the Gather accumulation is executed:
   precomputed once at layout build time (:func:`build_reduce_plan`), and
   the accumulation is a single ``np.add.reduceat`` over the run-sorted
   message stream — O(m) work, no ``minlength=n`` zero-fill pass, no
-  ``astype`` copy, and native rank-k support via ``axis=0``.
-* ``parallel`` — thread-pool execution: the Scatter phase runs one pool
-  job per block task (e.g. Mixen's balanced
-  :class:`~repro.core.partition.BlockTask` slices), the Gather phase one
-  job per block-column, on top of either serial accumulation ``base``.
-  Worker count defaults to :func:`repro.parallel.threadpool.default_workers`.
+  ``astype`` copy, and native rank-k support via ``axis=0``.  The
+  default of every engine, CLI command and server: it is the fastest
+  measured Main-Phase kernel on the skewed proxies (DESIGN.md).
+* ``parallel`` — opt-in thread-pool execution: the Scatter phase walks
+  the block tasks (e.g. Mixen's balanced
+  :class:`~repro.core.partition.BlockTask` slices), the Gather phase the
+  block-columns, each split into one contiguous pool job per worker, on
+  top of either serial accumulation ``base``.  Worker count defaults to
+  :func:`repro.parallel.threadpool.default_workers`.
 * ``parallel-mp`` — process-pool execution: true multicore without the
   GIL.  A persistent worker pool (:mod:`repro.parallel.procpool`)
   attaches to the layout metadata and the input vector through
@@ -25,10 +28,9 @@ how the Gather accumulation is executed:
   block-column, writing disjoint slices of a shared output buffer
   lock-free.  Plans are packed once per layout (cached by structure
   fingerprint); dispatch ships only a tiny manifest.
-* ``auto`` — resolved per layout: ``parallel`` for graphs at or above
-  :data:`AUTO_PARALLEL_MIN_EDGES` edges on multicore hosts, ``reduceat``
-  otherwise (``parallel-mp`` is opt-in — process pools are a deliberate
-  resource commitment).
+* ``auto`` — always ``reduceat``: neither pool rung wins end to end on
+  any measured workload, so no size heuristic picks one (both stay
+  opt-in by name).
 
 Numerical equivalence contract: serial and parallel execution of the same
 accumulation base are **bit-identical** (each thread owns the same
@@ -55,10 +57,6 @@ from ..types import VALUE_DTYPE
 
 #: kernel names accepted by engines and the CLI ``--kernel`` flag.
 KERNEL_NAMES = ("bincount", "reduceat", "parallel", "parallel-mp", "auto")
-
-#: ``auto`` picks the thread-pool kernel at or above this edge count
-#: (below it, pool dispatch overhead beats the parallelism win).
-AUTO_PARALLEL_MIN_EDGES = 1 << 18
 
 #: rank-k bincount flattens ``(dst, column)`` into one bincount call up to
 #: this many messages; beyond it the per-column fallback caps the
@@ -220,6 +218,19 @@ def spmv_reduceat(
 # --------------------------------------------------------------------- #
 # thread-pool kernel
 # --------------------------------------------------------------------- #
+def pool_base(base: str | None, rank_k: bool, role: str = "parallel") -> str:
+    """Serial accumulation base of a pool kernel: ``base`` when given,
+    else ``bincount`` for 1-D inputs and ``reduceat`` for rank-k."""
+    if base is None:
+        return "reduceat" if rank_k else "bincount"
+    if base not in ("bincount", "reduceat"):
+        raise EngineError(
+            f"unknown {role} base kernel {base!r}; "
+            "expected 'bincount' or 'reduceat'"
+        )
+    return base
+
+
 def spmv_parallel(
     layout,
     x,
@@ -231,15 +242,17 @@ def spmv_parallel(
 ) -> np.ndarray:
     """Blocked propagation executed on a real thread pool.
 
-    The Scatter phase runs one pool job per task (a block edge slice,
-    e.g. Mixen's balanced :class:`~repro.core.partition.BlockTask` list;
-    default: one task per non-empty block), the Gather phase one job per
-    block-column.  NumPy releases the GIL inside the slice kernels, so
-    multicore hosts overlap the work; each thread owns disjoint output
-    ranges, making results bit-identical to the serial ``base``
-    accumulation (``bincount`` for 1-D inputs, the natively rank-k
-    ``reduceat`` otherwise).  With a single available worker the serial
-    base runs directly — same bits, no pool dispatch overhead.
+    The Scatter phase runs the tasks (block edge slices, e.g. Mixen's
+    balanced :class:`~repro.core.partition.BlockTask` list; default: one
+    task per non-empty block), the Gather phase the block-columns, each
+    cut into one contiguous pool job per worker
+    (:func:`~repro.parallel.threadpool.parallel_for`).  NumPy releases
+    the GIL inside the slice kernels, so multicore hosts overlap the
+    work; each thread owns disjoint output ranges, making results
+    bit-identical to the serial ``base`` accumulation (``bincount`` for
+    1-D inputs, the natively rank-k ``reduceat`` otherwise).  With a
+    single available worker the serial base runs directly — same bits,
+    no pool dispatch overhead.
     """
     from ..parallel.threadpool import parallel_for, recommended_workers
     from ..resilience import faults
@@ -251,13 +264,7 @@ def spmv_parallel(
     n = layout.num_nodes
     m = layout.num_edges
     rank_k = x.ndim != 1
-    if base is None:
-        base = "reduceat" if rank_k else "bincount"
-    if base not in ("bincount", "reduceat"):
-        raise EngineError(
-            f"unknown parallel base kernel {base!r}; "
-            "expected 'bincount' or 'reduceat'"
-        )
+    base = pool_base(base, rank_k)
     workers = recommended_workers(
         max(len(scatter_tasks) if scatter_tasks is not None else m, 1),
         max_workers,
@@ -386,13 +393,7 @@ def spmv_parallel_mp(
     x = np.asarray(x, dtype=VALUE_DTYPE)
     m = layout.num_edges
     rank_k = x.ndim != 1
-    if base is None:
-        base = "reduceat" if rank_k else "bincount"
-    if base not in ("bincount", "reduceat"):
-        raise EngineError(
-            f"unknown parallel base kernel {base!r}; "
-            "expected 'bincount' or 'reduceat'"
-        )
+    base = pool_base(base, rank_k)
     serial = spmv_reduceat if base == "reduceat" else spmv_bincount
     if m == 0:
         return serial(layout, x, static=static)
@@ -430,22 +431,16 @@ KERNELS: dict[str, Callable] = {
 
 def register_kernel(name: str, fn: Callable) -> None:
     """Register a kernel backend under ``name`` (idempotent
-    re-register); ``auto`` is reserved for the size-based resolver."""
+    re-register); ``auto`` is reserved for the resolver."""
     if name == "auto":
         raise EngineError("'auto' is reserved for the kernel resolver")
     KERNELS[name] = fn
 
 
-def resolve_kernel(name: str, layout=None) -> str:
-    """Resolve ``name`` to a concrete backend; ``auto`` picks by graph
-    size (thread pool for large multicore-worthy layouts, segmented
-    reduce otherwise)."""
+def resolve_kernel(name: str) -> str:
+    """Resolve ``name`` to a concrete backend; ``auto`` is the default
+    ``reduceat``."""
     if name == "auto":
-        from ..parallel.threadpool import default_workers
-
-        edges = 0 if layout is None else layout.num_edges
-        if edges >= AUTO_PARALLEL_MIN_EDGES and default_workers() > 1:
-            return "parallel"
         return "reduceat"
     if name not in KERNELS:
         raise EngineError(
@@ -470,7 +465,7 @@ def spmv(
     layout replays the schedule with instrumentation and cross-checks it
     against the static race proof (:mod:`repro.analysis.races`).
     """
-    resolved = resolve_kernel(kernel, layout)
+    resolved = resolve_kernel(kernel)
     if resolved in ("parallel", "parallel-mp"):
         from ..analysis.races import (
             ensure_layout_checked,

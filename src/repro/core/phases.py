@@ -43,6 +43,7 @@ import numpy as np
 
 from ..errors import EngineError
 from ..types import VALUE_DTYPE
+from .kernels import _flat_rank_indices, pool_base, resolve_kernel
 
 #: partition sizing: aim for at least this many messages per partition
 #: (smaller phases gain nothing from pool dispatch) ...
@@ -81,13 +82,6 @@ class PhaseReducePlan:
     def num_messages(self) -> int:
         """Messages the phase pushes/pulls (= edges of its structure)."""
         return int(self.src.size)
-
-    # resolve_kernel sizes its auto decision on ``num_edges``; a phase
-    # plan quacks like a layout for dispatch purposes.
-    @property
-    def num_edges(self) -> int:
-        """Alias of :attr:`num_messages` (kernel-resolver protocol)."""
-        return self.num_messages
 
     @property
     def num_runs(self) -> int:
@@ -254,8 +248,6 @@ def phase_reduce_bincount(
             plan.dst, weights=msgs, minlength=n
         ).astype(VALUE_DTYPE, copy=False)
     k = x.shape[1]
-    from .kernels import _flat_rank_indices
-
     return np.bincount(
         _flat_rank_indices(plan.dst, k).ravel(),
         weights=msgs.ravel(),
@@ -287,9 +279,9 @@ def phase_reduce_parallel(
 ) -> np.ndarray:
     """Partitioned phase reduce on a real thread pool.
 
-    Scatter runs one pool job per partition (gather ``x`` into that
-    partition's message slice), Gather one job per partition (reduce its
-    runs into its disjoint output row interval) — mirroring the
+    Scatter runs one task per partition (gather ``x`` into that
+    partition's message slice), Gather one task per partition (reduce
+    its runs into its disjoint output row interval) — mirroring the
     Main-Phase kernel's structure, including its fault-injection sites
     (``parallel_call``/``task_event``/``corrupt_bins``) and the
     single-worker serial shortcut (disabled while an injector is armed,
@@ -303,13 +295,7 @@ def phase_reduce_parallel(
         injector.parallel_call()
     x = np.asarray(x, dtype=VALUE_DTYPE)
     rank_k = x.ndim != 1
-    if base is None:
-        base = "reduceat" if rank_k else "bincount"
-    if base not in ("bincount", "reduceat"):
-        raise EngineError(
-            f"unknown phase base kernel {base!r}; "
-            "expected 'bincount' or 'reduceat'"
-        )
+    base = pool_base(base, rank_k, "phase")
     parts = plan.num_partitions
     workers = recommended_workers(max(parts, 1), max_workers)
     if workers == 1 and injector is None:
@@ -362,8 +348,6 @@ def phase_reduce_parallel(
                 )
             else:
                 k = x.shape[1]
-                from .kernels import _flat_rank_indices
-
                 y[row_lo:row_hi] = np.bincount(
                     _flat_rank_indices(local_dst, k).ravel(),
                     weights=msgs[elo:ehi].ravel(),
@@ -410,13 +394,7 @@ def phase_reduce_parallel_mp(
         injector.parallel_call()
     x = np.asarray(x, dtype=VALUE_DTYPE)
     rank_k = x.ndim != 1
-    if base is None:
-        base = "reduceat" if rank_k else "bincount"
-    if base not in ("bincount", "reduceat"):
-        raise EngineError(
-            f"unknown phase base kernel {base!r}; "
-            "expected 'bincount' or 'reduceat'"
-        )
+    base = pool_base(base, rank_k, "phase")
     serial = (
         phase_reduce_reduceat
         if base == "reduceat"
@@ -456,14 +434,12 @@ def phase_reduce(
 ) -> np.ndarray:
     """Dispatch one phase reduce to the named backend.
 
-    Resolution mirrors the Main-Phase dispatch (``auto`` picks by size
-    and host width); an armed fault injector sees the same
+    Resolution mirrors the Main-Phase dispatch (``auto`` is
+    ``reduceat``); an armed fault injector sees the same
     ``kernel_call`` site, and ``REPRO_RACE_CHECK`` replays each plan's
     partition schedule once before its first parallel dispatch.
     """
-    from .kernels import resolve_kernel
-
-    resolved = resolve_kernel(kernel, plan)
+    resolved = resolve_kernel(kernel)
     if resolved not in PHASE_KERNELS:
         raise EngineError(
             f"kernel {resolved!r} has no phase backend; "
@@ -506,12 +482,10 @@ def trace_phase_reduce(
     records its serial-equivalent pattern (each worker walks its
     partition slice of the same streams).
     """
-    from .kernels import resolve_kernel
-
     m = plan.num_messages
     if m == 0:
         return
-    resolved = resolve_kernel(kernel, plan)
+    resolved = resolve_kernel(kernel)
     runs = plan.num_runs
     space = trace.space
     src_name = f"{prefix}Src"

@@ -256,8 +256,8 @@ def trace_blocked_iteration(
       entirely: one x gather in destination-sorted order, a streamed
       message buffer, the run-start/run-destination metadata streams
       and one y scatter per destination run;
-    * ``auto`` — resolved by graph size exactly like the execution
-      dispatch (:func:`repro.core.kernels.resolve_kernel`).
+    * ``auto`` — resolved exactly like the execution dispatch
+      (:func:`repro.core.kernels.resolve_kernel`).
 
     Edge compression only exists in the binned path, so ``compress=True``
     always records the blocked pattern.
@@ -269,7 +269,7 @@ def trace_blocked_iteration(
     gp = layout.gather_block_ptr
     if layout.num_edges == 0:
         return
-    resolved = resolve_kernel(kernel, layout)
+    resolved = resolve_kernel(kernel)
     if resolved == "reduceat" and not compress:
         _trace_reduceat_iteration(
             layout, trace, x_name=x_name, y_name=y_name,
@@ -370,8 +370,8 @@ class BlockingEngine(Engine):
         on the real machine; the scaled default matches the simulated L2).
     kernel:
         SpMV backend (:data:`repro.core.kernels.KERNEL_NAMES`); the
-        thread-pool kernel is the default, running over load-balanced
-        block tasks with auto worker selection.
+        serial ``reduceat`` kernel is the default, and the opt-in pool
+        kernels run over the block tasks with auto worker selection.
     max_workers:
         Thread-pool width for the parallel kernel (default: the host's
         :func:`repro.parallel.threadpool.default_workers`).
@@ -386,7 +386,7 @@ class BlockingEngine(Engine):
         *,
         block_nodes: int = 512,
         edge_values=None,
-        kernel: str = "parallel",
+        kernel: str = "reduceat",
         max_workers: int | None = None,
         validate: bool = False,
         race_check: bool | None = None,
@@ -443,7 +443,7 @@ class BlockingEngine(Engine):
 
         self.certificate = certify_layout(
             self.layout, self.kernel, tasks=self.tasks,
-            structure="block-main",
+            structure="block-main", proof=self.race_proof,
         )
         if self.validate:
             from ..analysis.contracts import check_layout

@@ -753,8 +753,11 @@ class ProcPool:
         except Exception:
             # Fail-stop: kill workers, unlink every segment (io and
             # cached plans), leave nothing orphaned for the ladder's
-            # serial rungs to trip over.
-            crash_cleanup()
+            # serial rungs to trip over.  A dispatch its watchdog
+            # abandoned may fail after its pool was already torn down:
+            # it must not tear down the successor pool and its plans.
+            if _POOL is self:
+                crash_cleanup()
             raise
 
     # ------------------------------------------------------------------ #

@@ -101,15 +101,19 @@ def parallel_for(
     fn: Callable, items: Iterable, *, max_workers: int | None = None
 ) -> list:
     """Apply ``fn`` to every item on a thread pool; returns results in
-    input order.  Falls back to a plain loop for a single worker."""
+    input order.  Falls back to a plain loop for a single worker.  The
+    pool runs one job per worker, each over a contiguous :func:`chunked`
+    slice of ``items`` in input order."""
     items = list(items)
     workers = max_workers if max_workers is not None else default_workers()
     if workers <= 0:
         raise MachineError(f"max_workers must be positive, got {workers}")
     if workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    chunks = chunked(items, workers)
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        parts = pool.map(lambda chunk: [fn(item) for item in chunk], chunks)
+        return [result for part in parts for result in part]
 
 
 def call_with_deadline(fn: Callable, deadline: float | None):

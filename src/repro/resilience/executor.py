@@ -61,17 +61,12 @@ def next_backend(kernel: str | None) -> str | None:
 
 def _resolved_backend(holder) -> str | None:
     """Current backend name of ``holder`` (engines and ScgaKernel both
-    carry a ``kernel`` attribute; ``auto`` resolves against the
-    holder's layout)."""
+    carry a ``kernel`` attribute; ``auto`` is resolved)."""
     name = getattr(holder, "kernel", None)
     if name == "auto":
         from ..core.kernels import resolve_kernel
 
-        layout = getattr(holder, "layout", None)
-        if layout is None:
-            partition = getattr(holder, "partition", None)
-            layout = getattr(partition, "layout", None)
-        name = resolve_kernel("auto", layout)
+        name = resolve_kernel(name)
     return name
 
 

@@ -221,7 +221,7 @@ def run_drill(
     *,
     requests: int = 24,
     seed: int = 0,
-    kernel: str = "parallel",
+    kernel: str = "reduceat",
     max_workers: int | None = None,
     block_nodes: int = 512,
     config: ServeConfig | None = None,
@@ -437,7 +437,7 @@ def run_update_drill(
     queries_per_epoch: int = 4,
     update_batch_size: int = 8,
     seed: int = 0,
-    kernel: str = "parallel",
+    kernel: str = "reduceat",
     max_workers: int | None = None,
     block_nodes: int = 512,
     config: ServeConfig | None = None,

@@ -14,7 +14,8 @@ Robustness model (the PR 3–7 resilience machinery, held continuously):
   watchdog (``call_with_deadline``), so a stalled kernel surfaces as a
   :class:`~repro.errors.StallError` instead of wedging the queue;
 * **degradation ladder** — a failed or stalled attempt steps the batch
-  down ``parallel-mp -> parallel -> reduceat -> bincount`` and restarts
+  down ``parallel-mp -> parallel -> reduceat -> bincount`` from the
+  configured kernel (``auto`` serves from ``reduceat``) and restarts
   it from iteration 0 (never mid-run: a completed batch is always a
   single-rung run, which is what keeps every response bit-identical to
   a fault-free offline run — see
@@ -53,6 +54,7 @@ from typing import Any
 
 import numpy as np
 
+from ..core.kernels import resolve_kernel
 from ..errors import (
     DeadlineExpired,
     ReproError,
@@ -289,12 +291,7 @@ class MixenServer:
             self.report.store_hit = boot.hit
             self.report.store_rebuilt = boot.rebuilt
             self.report.boot_seconds = boot.seconds
-        base = engine.kernel
-        if base not in DEGRADATION_CHAIN:
-            # "auto" resolves per-dispatch; serve from the thread rung so
-            # the ladder below it is well-defined.
-            base = "parallel"
-        self._base_kernel = base
+        self._base_kernel = resolve_kernel(engine.kernel)
         self._pinned: str | None = None
         self._consecutive_trouble = 0
         self._queue: asyncio.Queue | None = None

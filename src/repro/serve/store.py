@@ -566,7 +566,8 @@ def install_layout(engine, arrays: dict, meta: dict) -> None:
     )
     engine.race_proof = prove_schedule(layout, tasks)
     engine.certificate = certify_layout(
-        layout, engine.kernel, tasks=tasks, structure="mixen-main"
+        layout, engine.kernel, tasks=tasks, structure="mixen-main",
+        proof=engine.race_proof,
     )
 
 
@@ -594,7 +595,7 @@ def boot_engine(
     graph,
     store: LayoutStore,
     *,
-    kernel: str = "parallel",
+    kernel: str = "reduceat",
     max_workers: int | None = None,
     block_nodes: int = 512,
     balance: bool = True,

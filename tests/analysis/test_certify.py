@@ -102,6 +102,41 @@ class TestCertificate:
         assert serial.fingerprint == mp.fingerprint
         assert serial.certificate_id != mp.certificate_id
 
+    @pytest.mark.parametrize("backend", (*CERTIFIED_BACKENDS, "auto"))
+    def test_id_unchanged_when_derived_from_a_given_proof(
+        self, prepared, backend
+    ):
+        from repro.analysis.races import prove_schedule
+
+        _, partition = prepared
+        layout, tasks = partition.layout, partition.tasks
+        derived = certify_layout(
+            layout, backend, tasks=tasks,
+            proof=prove_schedule(layout, tasks),
+        )
+        fresh = certify_layout(layout, backend, tasks=tasks)
+        assert derived.certificate_id == fresh.certificate_id
+
+    @pytest.mark.parametrize("engine_name", ("mixen", "block"))
+    def test_prepare_proves_the_schedule_once(
+        self, graph, monkeypatch, engine_name
+    ):
+        import repro.analysis.races as races
+        from repro.frameworks import make_engine
+
+        calls = []
+        original = races.prove_schedule
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("bases"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(races, "prove_schedule", counting)
+        engine = make_engine(engine_name, graph)
+        engine.prepare()
+        assert len(calls) == 1
+        assert engine.certificate.evidence["bases"] == ["reduceat"]
+
     def test_version_stamped(self, prepared):
         mixed, partition = prepared
         cert = certify_layout(

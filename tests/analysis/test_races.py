@@ -51,6 +51,21 @@ class TestShippedPlansAreRaceFree:
         proof = prove_schedule(layout, tasks)
         assert proof.num_scatter_tasks == len(tasks)
 
+    @pytest.mark.parametrize(
+        "bases", (("bincount",), ("reduceat",), ("bincount", "reduceat"))
+    )
+    def test_restricted_proof_equals_a_fresh_proof(self, layout, bases):
+        tasks = make_block_tasks(layout)
+        full = prove_schedule(layout, tasks)
+        assert full.restricted(bases) == prove_schedule(
+            layout, tasks, bases=bases
+        )
+
+    def test_restriction_beyond_the_proved_bases_raises(self, layout):
+        proof = prove_schedule(layout, bases=("reduceat",))
+        with pytest.raises(RaceError, match="does not cover"):
+            proof.restricted(("bincount",))
+
     def test_split_tasks_stay_race_free(self, layout):
         # Aggressive balancing splits blocks into sub-slices; slices of
         # the same block still must not overlap.

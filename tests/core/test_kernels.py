@@ -10,7 +10,7 @@ Contracts verified across random skewed graphs:
   float addition is exact under any association order; on arbitrary
   floats, bincount vs reduceat agree to summation-order rounding;
 * empty-graph / single-block edge cases, ``auto`` resolution, backend
-  registration, and the parallel-by-default engines.
+  registration, and the reduceat-by-default engines.
 """
 
 import numpy as np
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.algorithms import CollaborativeFiltering, InDegree, PageRank
 from repro.core import MixenEngine
 from repro.core.kernels import (
-    AUTO_PARALLEL_MIN_EDGES,
     KERNEL_NAMES,
     KERNELS,
     register_kernel,
@@ -203,27 +202,27 @@ class TestDispatch:
     def test_auto_small_graph_is_reduceat(self):
         e = np.empty(0, dtype=np.int64)
         layout = build_block_layout(e, e, 4, 4)
-        assert resolve_kernel("auto", layout) == "reduceat"
-
-    def test_auto_large_graph_is_parallel_on_multicore(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.parallel.threadpool.default_workers", lambda: 8
+        assert resolve_kernel("auto") == "reduceat"
+        x = np.arange(4.0)
+        assert np.array_equal(
+            spmv(layout, x, kernel="auto"), spmv_reduceat(layout, x)
         )
 
-        class Big:
-            num_edges = AUTO_PARALLEL_MIN_EDGES
-
-        assert resolve_kernel("auto", Big()) == "parallel"
-
-    def test_auto_large_graph_serial_on_one_core(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.parallel.threadpool.default_workers", lambda: 1
+    @pytest.mark.parametrize("workers", (1, 2, 8))
+    def test_auto_is_reduceat_at_any_size_and_width(
+        self, monkeypatch, workers
+    ):
+        # auto has no size or host-width heuristic: a graph far above any
+        # former threshold on a wide host still resolves to reduceat.
+        monkeypatch.setenv("REPRO_NUM_THREADS", str(workers))
+        rng = np.random.default_rng(workers)
+        src, dst = skewed_edges(rng, 2000, 300_000)
+        layout = build_block_layout(src, dst, 2000, 256)
+        assert resolve_kernel("auto") == "reduceat"
+        x = rng.random(2000)
+        assert np.array_equal(
+            spmv(layout, x, kernel="auto"), spmv_reduceat(layout, x)
         )
-
-        class Big:
-            num_edges = AUTO_PARALLEL_MIN_EDGES
-
-        assert resolve_kernel("auto", Big()) == "reduceat"
 
     def test_register_custom_backend(self):
         def doubled(layout, x, *, static=None, max_workers=None,
@@ -249,9 +248,12 @@ class TestDispatch:
 
 
 class TestParallelByDefaultEngines:
-    def test_engines_default_to_parallel_kernel(self, random_graph):
-        assert MixenEngine(random_graph).kernel == "parallel"
-        assert BlockingEngine(random_graph).kernel == "parallel"
+    """Engines built without a ``kernel`` argument (the default moved
+    from the thread-pool rung to ``reduceat``)."""
+
+    def test_engines_default_to_reduceat_kernel(self, random_graph):
+        assert MixenEngine(random_graph).kernel == "reduceat"
+        assert BlockingEngine(random_graph).kernel == "reduceat"
 
     def test_invalid_kernel_rejected_at_construction(self, random_graph):
         with pytest.raises(Exception, match="unknown kernel"):
@@ -264,7 +266,7 @@ class TestParallelByDefaultEngines:
         self, engine_cls, random_graph
     ):
         default = engine_cls(random_graph)
-        serial = engine_cls(random_graph, kernel="bincount")
+        serial = engine_cls(random_graph, kernel="reduceat")
         default.prepare()
         serial.prepare()
         rng = np.random.default_rng(3)
@@ -278,12 +280,13 @@ class TestParallelByDefaultEngines:
         self, algorithm, random_graph
     ):
         default = MixenEngine(random_graph)
-        serial = MixenEngine(random_graph, kernel="bincount")
+        serial = MixenEngine(random_graph, kernel="reduceat")
         default.prepare()
         serial.prepare()
-        got = default.run(algorithm(), max_iterations=10).scores
-        want = serial.run(algorithm(), max_iterations=10).scores
-        assert np.allclose(got, want, atol=1e-12)
+        got = default.run(algorithm(), max_iterations=10)
+        want = serial.run(algorithm(), max_iterations=10)
+        assert np.array_equal(got.scores, want.scores)
+        assert got.certificate_id == want.certificate_id
 
     def test_bfs_unchanged_vs_serial_kernel(self, random_graph):
         default = MixenEngine(random_graph)

@@ -70,12 +70,12 @@ class TestTracedKernelDispatch:
 
     def test_auto_resolves_before_dispatch(self, wiki):
         # "auto" must trace whatever backend it resolves to — never a
-        # literal "auto" pattern.  On this graph size auto lands on a
-        # concrete kernel; the trace matches that kernel's re-trace.
+        # literal "auto" pattern; the trace matches that kernel's
+        # re-trace.
         from repro.core.kernels import resolve_kernel
 
-        engine, auto_trace, _ = traced(wiki, "auto")
-        resolved = resolve_kernel("auto", engine.layout)
+        _, auto_trace, _ = traced(wiki, "auto")
+        resolved = resolve_kernel("auto")
         _, direct_trace, _ = traced(wiki, resolved)
         assert (
             auto_trace.traffic.stream_jumps

@@ -214,6 +214,24 @@ class TestPoolExecution:
         y = procpool.run_reduce(plan, x, base="bincount", workers=2)
         assert np.array_equal(y, spmv_bincount(layout, x))
 
+    def test_abandoned_dispatch_spares_the_successor_pool(self):
+        # A dispatch abandoned by its watchdog can fail after its pool
+        # was torn down and replaced; its fail-stop must not kill the
+        # successor or unlink the successor's plans.
+        from repro.core.kernels import spmv_bincount
+
+        layout = small_layout()
+        x = np.ones(layout.num_nodes)
+        abandoned = procpool.get_pool(2)
+        procpool.cleanup()
+        plan = procpool.ensure_layout_plan(layout, "bincount")
+        successor = procpool.get_pool(2)
+        with pytest.raises(IndexError):  # no queues left to dispatch to
+            abandoned.run_reduce(plan, x, base="bincount", workers=2)
+        assert procpool._POOL is successor and successor.alive()
+        y = procpool.run_reduce(plan, x, base="bincount", workers=2)
+        assert np.array_equal(y, spmv_bincount(layout, x))
+
     def test_width_grows_on_demand(self):
         pool = procpool.get_pool(1)
         assert pool.width == 1

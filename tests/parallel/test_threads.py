@@ -40,6 +40,33 @@ class TestParallelFor:
         got = parallel_for(lambda v: v * v, range(20), max_workers=4)
         assert got == [v * v for v in range(20)]
 
+    @pytest.mark.parametrize("workers", (2, 3, 8))
+    def test_one_pool_job_per_worker(self, monkeypatch, workers):
+        from concurrent.futures import ThreadPoolExecutor
+
+        import repro.parallel.threadpool as threadpool
+
+        slices = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                slices.append(list(args[0]))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(threadpool, "ThreadPoolExecutor", CountingPool)
+        calls = []
+        items = list(range(50))
+        got = parallel_for(
+            lambda item: calls.append(item) or 10 * item,
+            items,
+            max_workers=workers,
+        )
+        assert got == [10 * item for item in items]
+        assert sorted(calls) == items  # fn once per item
+        # at most one job per worker, each a contiguous slice in order
+        assert 1 < len(slices) <= workers
+        assert sum(slices, []) == items
+
     def test_single_worker_path(self):
         got = parallel_for(lambda v: v + 1, [1, 2, 3], max_workers=1)
         assert got == [2, 3, 4]

@@ -144,6 +144,26 @@ class TestDegradationLadder:
             "parallel", "reduceat"
         )
 
+    def test_auto_serves_from_reduceat(self, random_graph, tmp_path):
+        engine, _ = boot_engine(
+            random_graph, LayoutStore(tmp_path / "auto"), kernel="auto"
+        )
+        server = MixenServer(engine, config=_config())
+        assert server.health()["kernel"] == "reduceat"
+        faults.install(
+            faults.parse_fault_spec("crash:site=serve_batch,times=1")
+        )
+        try:
+            outcomes = _drive(server, [[3]])
+        finally:
+            faults.clear()
+        # the ladder below auto is reduceat -> bincount
+        assert outcomes[0].kernel == "bincount"
+        event = server.report.downgrades[0]
+        assert (event.from_kernel, event.to_kernel) == (
+            "reduceat", "bincount"
+        )
+
     def test_ladder_exhaustion_fails_typed(self, served_engine):
         engine, _ = served_engine
         server = MixenServer(engine, config=_config())

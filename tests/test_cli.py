@@ -236,3 +236,83 @@ class TestTuneCommand:
             "--tuned", str(tmp_path / "nope.json"),
         )
         assert code == 13
+
+
+class TestDefaultKernel:
+    """Commands run without ``--kernel`` use the ``reduceat`` kernel."""
+
+    @pytest.mark.parametrize("command", ("run", "bfs"))
+    @pytest.mark.parametrize("engine_name", ("mixen", "block"))
+    def test_blocked_commands_build_reduceat_engines(
+        self, monkeypatch, command, engine_name
+    ):
+        import repro.cli as cli
+
+        built = []
+        original = cli.make_engine
+
+        def recording_make_engine(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "make_engine", recording_make_engine)
+        argv = [command, "--graph", "wiki", "--scale", "0.25",
+                "--engine", engine_name]
+        if command == "run":
+            argv += ["--iterations", "2"]
+        code, _ = run_cli(*argv)
+        assert code == 0
+        assert [engine.kernel for engine in built] == ["reduceat"]
+
+    def test_serve_drill_serves_from_reduceat(self, tmp_path):
+        import json
+
+        code, text = run_cli(
+            "serve", "--graph", "wiki", "--scale", "0.25",
+            "--store-dir", str(tmp_path / "store"), "--requests", "4",
+            "--window", "0.01", "--max-batch", "4", "--json",
+        )
+        assert code == 0
+        report = json.loads(text)
+        assert report["serve"]["batch_kernels"] == ["reduceat"]
+        assert report["verified"] == report["completed"] == 4
+
+    def test_serve_socket_auto_reports_reduceat(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        from repro.serve import request
+
+        path = str(tmp_path / "serve.sock")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--graph", "wiki",
+             "--scale", "0.25", "--store-dir", str(tmp_path / "store"),
+             "--socket", path, "--kernel", "auto"],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120.0
+            while not os.path.exists(path):
+                assert server.poll() is None, "server exited early"
+                assert time.monotonic() < deadline, "socket never came up"
+                time.sleep(0.1)
+            health = request(path, {"op": "health"})
+            assert health["ok"] and health["health"]["kernel"] == "reduceat"
+            reply = request(path, {"op": "query", "sources": [3, 17]})
+            assert reply["ok"] and reply["kernel"] == "reduceat"
+            request(path, {"op": "stop"})
+            assert server.wait(timeout=60) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
