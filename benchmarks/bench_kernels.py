@@ -45,8 +45,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(ROOT / "src"))
 
-from repro.core.kernels import KERNELS, spmv  # noqa: E402
-from repro.core.partition import make_block_tasks  # noqa: E402
+from repro.core.kernels import KERNELS  # noqa: E402
 from repro.frameworks.blocking import build_block_layout  # noqa: E402
 from repro.graphs.generators import rmat  # noqa: E402
 from repro.parallel import procpool  # noqa: E402
@@ -106,23 +105,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def time_kernel(layout, x, *, repeats, tasks, **options) -> float:
-    spmv(layout, x, scatter_tasks=tasks, **options)  # warm-up
+def time_kernel(layout, x, *, repeats, **options) -> float:
+    layout.spmv(x, **options)  # warm-up
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        spmv(layout, x, scatter_tasks=tasks, **options)
+        layout.spmv(x, **options)
         best = min(best, time.perf_counter() - start)
     return best
 
 
 def mp_task_loads(layout) -> np.ndarray:
-    """Per-task message loads of the mp plan (one task per block-col)."""
-    gp = layout.gather_block_ptr
-    b = layout.num_blocks_per_side
-    edges = np.asarray(
-        [gp[(j + 1) * b] - gp[j * b] for j in range(b)], dtype=np.int64
-    )
+    """Per-task message loads of the mp plan (its non-empty
+    block-column partitions)."""
+    edges = np.diff(layout.reduce_plan.part_edge_ptr)
     return edges[edges > 0]
 
 
@@ -157,7 +153,6 @@ def run_cases(args) -> dict:
         )
         if not weighted:
             unweighted_layout = layout
-        tasks = make_block_tasks(layout)
         for rank in (None, args.rank):
             x = (
                 rng.random(graph.num_nodes)
@@ -171,7 +166,6 @@ def run_cases(args) -> dict:
             timings = {
                 name: time_kernel(
                     layout, x, kernel=name, repeats=args.repeats,
-                    tasks=tasks,
                     max_workers=(
                         args.mp_workers
                         if name in ("parallel", "parallel-mp")
@@ -345,14 +339,13 @@ def bench_layout():
     layout = build_block_layout(
         csr.row_ids(), csr.indices, graph.num_nodes, 512
     )
-    return layout, make_block_tasks(layout)
+    return layout
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_propagate_kernel(benchmark, bench_layout, kernel):
-    layout, tasks = bench_layout
-    x = np.random.default_rng(0).random(layout.num_nodes)
-    benchmark(spmv, layout, x, kernel=kernel, scatter_tasks=tasks)
+    x = np.random.default_rng(0).random(bench_layout.num_nodes)
+    benchmark(bench_layout.spmv, x, kernel=kernel)
 
 
 def test_report_tuning(tmp_path):

@@ -1,6 +1,6 @@
 """Pre-/Post-Phase segmented-reduce microbenchmark.
 
-Times every phase backend (bincount vs reduceat vs thread pool) on one
+Times every reduce backend (bincount vs reduceat vs the pools) on one
 synthetic skewed bipartite structure shaped like the Mixen boundary
 phases: a *push* plan standing in for the Pre-Phase seed push
 (seed -> regular CSR) and a *pull* plan standing in for the Post-Phase
@@ -32,8 +32,8 @@ try:
 except ImportError:
     sys.path.insert(0, str(ROOT / "src"))
 
+from repro.core.kernels import KERNELS  # noqa: E402
 from repro.core.phases import (  # noqa: E402
-    PHASE_KERNELS,
     build_pull_plan,
     build_push_plan,
     phase_reduce,
@@ -102,7 +102,7 @@ def run_cases(args) -> dict:
     csr = skewed_bipartite(args.scale, args.edge_factor, seed=1)
     rng = np.random.default_rng(0)
     weights = rng.random(csr.num_edges) + 0.5
-    kernels = tuple(PHASE_KERNELS)
+    kernels = tuple(KERNELS)
     results = {
         "graph": {
             "generator": "skewed-bipartite",
@@ -199,14 +199,14 @@ def bench_plans():
     return csr, build_push_plan(csr), build_pull_plan(csr)
 
 
-@pytest.mark.parametrize("kernel", sorted(PHASE_KERNELS))
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_push_phase_kernel(benchmark, bench_plans, kernel):
     csr, push, _ = bench_plans
     x = np.random.default_rng(0).random(csr.num_rows)
     benchmark(phase_reduce, push, x, kernel=kernel)
 
 
-@pytest.mark.parametrize("kernel", sorted(PHASE_KERNELS))
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_pull_phase_kernel(benchmark, bench_plans, kernel):
     csr, _, pull = bench_plans
     x = np.random.default_rng(0).random(csr.num_cols)
@@ -219,7 +219,7 @@ def test_report_phases(tmp_path):
     data = json.loads(out.read_text())
     assert data["cases"]
     for case in data["cases"].values():
-        assert set(case["seconds"]) == set(PHASE_KERNELS)
+        assert set(case["seconds"]) == set(KERNELS)
         assert f"speedup_parallel_vs_{BASELINE}" in case
 
 

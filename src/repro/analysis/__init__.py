@@ -3,11 +3,11 @@
 Five layers, all operating on the layout metadata the engines already
 build (no new traversals of the edge structure):
 
-* :mod:`repro.analysis.races` — proves the thread-pool kernel's
-  Scatter/Gather tasks are race-free *before* dispatch by computing each
-  task's read/write sets as index intervals and checking pairwise
-  disjointness, plus an instrumented dynamic cross-check
-  (``REPRO_RACE_CHECK=1`` / ``--race-check``);
+* :mod:`repro.analysis.races` — proves a segmented-reduce plan's
+  partitions race-free for every kernel rung *before* dispatch (run-
+  aligned cuts plus pairwise disjoint message and output intervals),
+  plus an instrumented dynamic replay (``REPRO_RACE_CHECK=1`` /
+  ``--race-check``);
 * :mod:`repro.analysis.contracts` — validators for the mixed CSR/CSC
   representation, the relabeling permutation, the class boundaries and
   the 2-D block/bin layout (``python -m repro analyze``, ``--validate``);
@@ -30,7 +30,7 @@ from .certify import (
     ProveReport,
     build_certificates,
     certify_layout,
-    certify_phase_plan,
+    certify_plan,
     check_exit_codes,
     check_fault_registry,
     check_state_registry,
@@ -55,14 +55,12 @@ from .dataflow import (
 )
 from .races import (
     AccessInterval,
-    RaceProof,
+    PlanProof,
     TaskAccess,
-    dynamic_race_check,
-    gather_accesses,
     prove_disjoint,
     prove_schedule,
     race_check_enabled,
-    scatter_accesses,
+    replay_plan,
 )
 
 __all__ = [
@@ -73,15 +71,15 @@ __all__ = [
     "ContractReport",
     "Finding",
     "GraphCapacity",
+    "PlanProof",
     "ProveReport",
-    "RaceProof",
     "TaskAccess",
     "analyze_file",
     "analyze_graph",
     "analyze_source",
     "build_certificates",
     "certify_layout",
-    "certify_phase_plan",
+    "certify_plan",
     "check_bins",
     "check_class_boundaries",
     "check_csr",
@@ -90,12 +88,10 @@ __all__ = [
     "check_layout",
     "check_permutation",
     "check_state_registry",
-    "dynamic_race_check",
-    "gather_accesses",
     "prove_disjoint",
     "prove_numeric_safety",
     "prove_schedule",
     "race_check_enabled",
+    "replay_plan",
     "run_prove",
-    "scatter_accesses",
 ]

@@ -1,17 +1,16 @@
 """Unified plan certifier and proof-certificate ledger.
 
-PR 2 proved the thread schedule race-free (:func:`repro.analysis.races.
-prove_schedule`), PR 5 proved the phase plans
-(:func:`~repro.analysis.races.prove_phase_plan`) and PR 6 proved the
-process-pool task tables (:func:`~repro.analysis.races.prove_mp_reduce`)
-— three provers, three evidence shapes, no durable artifact.  This
-module unifies them behind one **certificate** abstraction:
+Every kernel rung runs a :class:`~repro.core.kernels.ReducePlan` by its
+partitions, and :func:`repro.analysis.races.prove_schedule` proves a
+plan race-free for all of them at once.  This module turns that proof
+into a durable **certificate**:
 
-* a :class:`Certificate` packages one successful proof — race-freedom
-  plus deterministic reduce order for one *structure* (a block layout or
-  a phase reduce plan) under one *backend* — keyed by the structure's
-  content fingerprint (the same fingerprints the shm plan cache uses, so
-  a certificate and the plan it certifies can never drift apart);
+* a :class:`Certificate` packages one successful plan proof — race-freedom
+  plus deterministic reduce order for one *structure* (the Main-Phase
+  plan of a block layout, or a Pre/Post-Phase plan) under one *backend*
+  — keyed by the plan's content fingerprint (the same fingerprint the
+  shm plan cache uses, so a certificate and the plan it certifies can
+  never drift apart);
 * the ``certificate_id`` is content-addressed: a SHA-256 over the
   canonical JSON of ``(version, kind, structure, backend, fingerprint,
   evidence)``.  Re-proving the same structure always reproduces the same
@@ -52,7 +51,7 @@ from .dataflow import Finding, GraphCapacity, prove_numeric_safety
 
 #: certificate schema version (bumped when the payload shape changes;
 #: a bump invalidates every committed certificate by construction).
-CERTIFICATE_VERSION = 1
+CERTIFICATE_VERSION = 2
 
 #: default on-disk ledger location (committed; CI verifies against it).
 DEFAULT_LEDGER = "bench_results/certificates.json"
@@ -60,9 +59,8 @@ DEFAULT_LEDGER = "bench_results/certificates.json"
 #: the kernel backends every structure is certified under.
 CERTIFIED_BACKENDS = ("bincount", "reduceat", "parallel", "parallel-mp")
 
-#: certificate kinds.
-MAIN_SCHEDULE = "main-schedule"
-PHASE_PLAN = "phase-plan"
+#: certificate kind (one plan type, one kind).
+REDUCE_PLAN = "reduce-plan"
 
 #: npz keys the checkpoint v2 schema reserves for its own metadata; a
 #: ``StateSpec`` name colliding with one would be ambiguous in reports
@@ -96,13 +94,11 @@ FAULT_SITE_HOOKS = (
 class Certificate:
     """One machine-readable proof certificate.
 
-    ``evidence`` is the JSON-serializable dump of the underlying proof
-    record(s) (:class:`~repro.analysis.races.RaceProof`,
-    :class:`~repro.analysis.races.PhasePlanProof` or
-    :class:`~repro.analysis.races.MPScheduleProof`).
+    ``evidence`` is the JSON-serializable dump of the underlying
+    :class:`~repro.analysis.races.PlanProof`.
     """
 
-    kind: str  # main-schedule | phase-plan
+    kind: str  # reduce-plan
     structure: str  # human-readable structure name (e.g. "mixen-main")
     backend: str
     fingerprint: str
@@ -147,90 +143,45 @@ def _proof_evidence(proof: Any) -> dict:
     return json.loads(json.dumps(record))
 
 
+def certify_plan(
+    plan: Any,
+    backend: str,
+    *,
+    structure: str | None = None,
+    proof: Any = None,
+) -> Certificate:
+    """Prove and certify one reduce plan under one backend.
+
+    Every rung runs the same partitions, so one
+    :func:`~repro.analysis.races.prove_schedule` proof — the caller's
+    ``proof`` of the same plan when given — is the evidence for all of
+    them.  ``structure`` defaults to the plan's name.
+    """
+    from ..parallel.procpool import plan_fingerprint
+    from .races import prove_schedule
+
+    if proof is None:
+        proof = prove_schedule(plan)
+    return Certificate(
+        kind=REDUCE_PLAN,
+        structure=plan.name if structure is None else structure,
+        backend=backend,
+        fingerprint=plan_fingerprint(plan),
+        evidence=_proof_evidence(proof),
+    )
+
+
 def certify_layout(
     layout: Any,
     backend: str,
     *,
-    tasks: Any = None,
     structure: str = "main",
     proof: Any = None,
 ) -> Certificate:
-    """Prove and certify one block layout under one backend.
-
-    Serial/thread backends get the Scatter/Gather interval proof
-    (:func:`~repro.analysis.races.prove_schedule`) restricted to the
-    backend's accumulation base (derived from ``proof``, the caller's
-    own proof of the same ``layout``/``tasks`` schedule, when given);
-    ``parallel-mp`` gets the process-pool task-table proof over
-    **both** bases, computed from the pure task tables
-    (:func:`repro.parallel.procpool.layout_reduce_tasks`) — no pool is
-    spawned and no shared memory is packed.
-    """
-    from ..parallel.procpool import layout_fingerprint, layout_reduce_tasks
-    from .races import prove_mp_reduce, prove_schedule
-
-    if backend == "parallel-mp":
-        evidence: dict = {}
-        for base in ("bincount", "reduceat"):
-            mp_tasks, _, dst, run_dst = layout_reduce_tasks(layout, base)
-            proof = prove_mp_reduce(
-                f"mp-layout-{base}",
-                mp_tasks,
-                layout.num_nodes,
-                layout.num_edges,
-                dst=dst,
-                run_dst=run_dst,
-            )
-            evidence[base] = _proof_evidence(proof)
-    else:
-        bases = (
-            (backend,)
-            if backend in ("bincount", "reduceat")
-            else ("bincount", "reduceat")
-        )
-        if proof is None:
-            proof = prove_schedule(layout, tasks, bases=bases)
-        evidence = _proof_evidence(proof.restricted(bases))
-    return Certificate(
-        kind=MAIN_SCHEDULE,
-        structure=structure,
-        backend=backend,
-        fingerprint=layout_fingerprint(layout),
-        evidence=evidence,
-    )
-
-
-def certify_phase_plan(plan: Any, backend: str) -> Certificate:
-    """Prove and certify one phase reduce plan under one backend.
-
-    The partition schedule is base-independent (runs never split), so
-    serial/thread backends share the
-    :func:`~repro.analysis.races.prove_phase_plan` evidence;
-    ``parallel-mp`` proves the extracted process task table instead.
-    """
-    from ..parallel.procpool import phase_plan_fingerprint, phase_reduce_tasks
-    from .races import prove_mp_reduce, prove_phase_plan
-
-    if backend == "parallel-mp":
-        mp_tasks, _, dst, run_dst = phase_reduce_tasks(plan)
-        evidence = _proof_evidence(
-            prove_mp_reduce(
-                f"mp-phase-{plan.name}",
-                mp_tasks,
-                plan.num_rows,
-                plan.num_messages,
-                dst=dst,
-                run_dst=run_dst,
-            )
-        )
-    else:
-        evidence = _proof_evidence(prove_phase_plan(plan))
-    return Certificate(
-        kind=PHASE_PLAN,
-        structure=plan.name,
-        backend=backend,
-        fingerprint=phase_plan_fingerprint(plan),
-        evidence=evidence,
+    """Certify a block layout's Main-Phase plan (the engines'
+    prepare-time call)."""
+    return certify_plan(
+        layout.reduce_plan, backend, structure=structure, proof=proof
     )
 
 
@@ -787,14 +738,17 @@ def build_certificates(
 ) -> list[Certificate]:
     """Certify the full structure x backend matrix of one graph.
 
-    Structures: the Mixen Main-Phase block layout, its Pre-Phase
-    seed-push and Post-Phase sink-pull plans, and the whole-graph block
-    layout the blocked baseline runs — everything a run of any algorithm
-    on any engine dispatches through the kernels.
+    Structures: the Mixen Main-Phase plan, its Pre-Phase seed-push and
+    Post-Phase sink-pull plans, and the Main-Phase plan of the
+    whole-graph block layout the blocked baseline runs — everything a run
+    of any algorithm on any engine dispatches through the kernels.  Each
+    structure is proved once; its proof is the evidence under every
+    backend.
     """
+    from ..analysis.races import prove_schedule
     from ..core.filtering import filter_graph
     from ..core.mixed_format import build_mixed
-    from ..core.partition import make_block_tasks, partition_regular
+    from ..core.partition import partition_regular
     from ..frameworks.blocking import build_block_layout
 
     plan = filter_graph(graph)
@@ -804,28 +758,18 @@ def build_certificates(
     block_layout = build_block_layout(
         csr.row_ids(), csr.indices, graph.num_nodes, block_nodes
     )
-    block_tasks = make_block_tasks(block_layout)
-    certs: list[Certificate] = []
-    for backend in backends:
-        certs.append(
-            certify_layout(
-                partition.layout,
-                backend,
-                tasks=partition.tasks,
-                structure="mixen-main",
-            )
-        )
-        certs.append(certify_phase_plan(mixed.seed_push_plan, backend))
-        certs.append(certify_phase_plan(mixed.sink_pull_plan, backend))
-        certs.append(
-            certify_layout(
-                block_layout,
-                backend,
-                tasks=block_tasks,
-                structure="block-main",
-            )
-        )
-    return certs
+    structures = (
+        ("mixen-main", partition.layout.reduce_plan),
+        ("seed-push", mixed.seed_push_plan),
+        ("sink-pull", mixed.sink_pull_plan),
+        ("block-main", block_layout.reduce_plan),
+    )
+    proofs = [prove_schedule(reduce_plan) for _, reduce_plan in structures]
+    return [
+        certify_plan(reduce_plan, backend, structure=name, proof=proof)
+        for backend in backends
+        for (name, reduce_plan), proof in zip(structures, proofs)
+    ]
 
 
 def run_prove(
@@ -854,7 +798,13 @@ def run_prove(
     checks = registry_checks(root)
     graph = load_dataset(graph_name, scale=scale)
     certs = build_certificates(graph, block_nodes=block_nodes)
-    ledger = CertificateLedger.load(ledger_path)
+    # An update rewrites the ledger from scratch, so entries of
+    # structures that no longer exist do not linger.
+    ledger = (
+        CertificateLedger(ledger_path)
+        if update
+        else CertificateLedger.load(ledger_path)
+    )
     records: list[CertRecord] = []
     for cert in certs:
         if update:

@@ -13,10 +13,11 @@ raising, so a whole report can be assembled even when early checks fail:
   the front of the regular range, and relative order inside each group is
   preserved (the paper's "minimal disruption" property);
 * :func:`check_bins` — block offsets monotone and edge-covering, edges
-  confined to their blocks in both scatter and gather order, the gather
-  permutation bijective, and the segmented-reduce plan consistent;
-* :func:`check_layout` — bins plus the race-freedom proof
-  (:func:`repro.analysis.races.prove_schedule`) as one report.
+  confined to their blocks in both scatter and gather order, and the
+  gather permutation bijective;
+* :func:`check_layout` — bins plus the race-freedom proof of the
+  layout's reduce plan (:func:`repro.analysis.races.prove_schedule`,
+  which owns every plan check) as one report.
 
 :func:`analyze_graph` runs the full pipeline (filter → mixed → partition)
 on a graph and reports every contract — the ``python -m repro analyze``
@@ -31,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import ContractError, RaceError
-from .races import dynamic_race_check, prove_schedule
+from .races import prove_schedule, replay_plan
 
 
 @dataclass(frozen=True)
@@ -310,52 +311,24 @@ def check_bins(layout: Any) -> Check:
             name, False,
             "values_scatter is not aligned with the edge arrays",
         )
-    plan = layout.reduce_plan
-    if plan.run_starts.size:
-        if plan.run_starts[0] != 0 or (
-            plan.run_starts.size > 1
-            and int(np.diff(plan.run_starts).min()) <= 0
-        ):
-            return Check(
-                name, False,
-                "reduce plan run_starts are not strictly increasing "
-                "from 0",
-            )
-        if plan.run_dst.size > 1 and int(np.diff(plan.run_dst).min()) <= 0:
-            return Check(
-                name, False,
-                "reduce plan run destinations are not strictly "
-                "increasing",
-            )
-    for ptr_name in ("col_edge_ptr", "col_run_ptr"):
-        ptr = getattr(plan, ptr_name)
-        if ptr.size != b + 1 or (
-            ptr.size > 1 and int(np.diff(ptr).min()) < 0
-        ):
-            return Check(
-                name, False, f"reduce plan {ptr_name} is malformed"
-            )
-    return Check(
-        name, True,
-        f"{b}x{b} blocks of {c} nodes, {m} edges, "
-        f"{plan.num_runs} reduce runs",
-    )
+    return Check(name, True, f"{b}x{b} blocks of {c} nodes, {m} edges")
 
 
-def check_layout(
-    layout: Any, tasks: Any = None, *, dynamic: bool = False
-) -> ContractReport:
-    """Full layout report: bin structure plus the race-freedom proof."""
+def check_layout(layout: Any, *, dynamic: bool = False) -> ContractReport:
+    """Full layout report: bin structure plus the race-freedom proof of
+    the layout's reduce plan (and its dynamic replay)."""
     checks = [check_bins(layout)]
     try:
-        proof = prove_schedule(layout, tasks)
+        proof = prove_schedule(layout.reduce_plan)
         checks.append(Check("race-proof", True, proof.describe()))
     except RaceError as exc:
         checks.append(Check("race-proof", False, str(exc)))
     if dynamic:
         try:
-            result = dynamic_race_check(layout, tasks)
-            checks.append(Check("race-replay", True, result.describe()))
+            replay_plan(layout.reduce_plan)
+            checks.append(
+                Check("race-replay", True, "replay stayed inside the proof")
+            )
         except RaceError as exc:
             checks.append(Check("race-replay", False, str(exc)))
     return ContractReport(
@@ -405,9 +378,7 @@ def analyze_graph(
     partition = partition_regular(
         mixed.rr, block_nodes, balance=balance
     )
-    layout_report = check_layout(
-        partition.layout, partition.tasks, dynamic=dynamic
-    )
+    layout_report = check_layout(partition.layout, dynamic=dynamic)
     checks.extend(layout_report.checks)
     checks.append(
         _check(

@@ -20,12 +20,9 @@ from .filtering import FilterPlan, filter_graph
 from .kernels import (
     KERNEL_NAMES,
     ReducePlan,
-    build_reduce_plan,
-    register_kernel,
+    build_plan,
+    reduce,
     resolve_kernel,
-    spmv_bincount,
-    spmv_parallel,
-    spmv_reduceat,
 )
 from .mixed_format import MixedGraph, SpillOverlay, build_mixed
 from .partition import (
@@ -68,7 +65,7 @@ __all__ = [
     "SpillBinStats",
     "SpillOverlay",
     "build_mixed",
-    "build_reduce_plan",
+    "build_plan",
     "build_static_bins",
     "checked_apply",
     "compose",
@@ -81,12 +78,9 @@ __all__ = [
     "model_for_engine",
     "partition_regular",
     "permute_values",
-    "register_kernel",
+    "reduce",
     "resolve_kernel",
     "run_schedule",
     "spill_bin_stats",
-    "spmv_bincount",
-    "spmv_parallel",
-    "spmv_reduceat",
     "unpermute_values",
 ]

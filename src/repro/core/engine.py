@@ -9,10 +9,10 @@ Options expose the paper's design knobs for the ablation benches:
 ``hub_reorder`` (step 2 of the filter), ``cache_step`` (the static-bin
 Cache step), ``balance`` (block splitting), ``compress`` (edge compression
 in the traced bins) and ``block_nodes`` (the Figure 6/7 sweep parameter).
-``kernel`` selects the Main-Phase SpMV backend
+``kernel`` selects the backend that runs every phase's reduce plan
 (:mod:`repro.core.kernels`); the serial segmented-reduce ``reduceat``
-kernel is the default, and the opt-in pool kernels consume the
-partition's balanced block tasks.
+kernel is the default, and the opt-in pool kernels run each plan's
+partitions.
 """
 
 from __future__ import annotations
@@ -104,40 +104,12 @@ class MixenEngine(Engine):
         self.bin_stats: DynamicBinStats = dynamic_bin_stats(
             self.partition.layout
         )
-        # Static race-freedom proof of the Scatter/Gather task schedule —
-        # always on; its O(m) metadata reductions amortize against the
-        # layout's own O(m log m) sorts (see repro.analysis.races).
-        from ..analysis.races import (
-            dynamic_race_check,
-            prove_schedule,
-            race_check_enabled,
-        )
-
-        self.race_proof = prove_schedule(
-            self.partition.layout, self.partition.tasks
-        )
-        if self.race_check or (
-            self.race_check is None and race_check_enabled()
-        ):
-            dynamic_race_check(
-                self.partition.layout, self.partition.tasks
-            )
         # Force the one-shot phase plans now (cached on the mixed graph):
-        # building them is part of preparation, and each carries its own
-        # build-time race proof, so run-phase timings exclude the sorts.
+        # building them is part of preparation, so run-phase timings
+        # exclude the sorts.
         self.mixed.seed_push_plan
         self.mixed.sink_pull_plan
-        # Machine-readable proof certificate of the Main-Phase schedule
-        # under this engine's kernel; its id travels on every result.
-        from ..analysis.certify import certify_layout
-
-        self.certificate = certify_layout(
-            self.partition.layout,
-            self.kernel,
-            tasks=self.partition.tasks,
-            structure="mixen-main",
-            proof=self.race_proof,
-        )
+        self._prove_plans()
         if self.validate:
             self._validate_contracts()
         t_partition = time.perf_counter()
@@ -145,6 +117,39 @@ class MixenEngine(Engine):
             "filter": t_filter - t0,
             "partition": t_partition - t_filter,
         }
+
+    def _prove_plans(self) -> None:
+        """Static race-freedom proof of the three reduce plans a run
+        dispatches — always on, O(m) vectorized checks amortized against
+        the layout sorts (:mod:`repro.analysis.races`) — plus the
+        Main-Phase certificate whose id travels on every result."""
+        from ..analysis.certify import certify_layout
+        from ..analysis.races import (
+            prove_schedule,
+            race_check_enabled,
+            replay_plan,
+        )
+
+        layout = self.partition.layout
+        plans = (
+            layout.reduce_plan,
+            self.mixed.seed_push_plan,
+            self.mixed.sink_pull_plan,
+        )
+        self.race_proof = prove_schedule(plans[0])
+        for plan in plans[1:]:
+            prove_schedule(plan)
+        if self.race_check or (
+            self.race_check is None and race_check_enabled()
+        ):
+            for plan in plans:
+                replay_plan(plan)
+        self.certificate = certify_layout(
+            layout,
+            self.kernel,
+            structure="mixen-main",
+            proof=self.race_proof,
+        )
 
     def _validate_contracts(self) -> None:
         """Check every layout/format contract of the prepared structures

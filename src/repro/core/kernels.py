@@ -1,48 +1,43 @@
-"""Interchangeable SpMV kernels for blocked propagation (the dispatch layer).
+"""The segmented-reduce plan and its interchangeable backends.
 
-Every backend computes the same blocked propagation ``y = A^T x (+ static)``
-over a :class:`~repro.frameworks.blocking.BlockLayout`; they differ only in
-how the Gather accumulation is executed:
+Algorithm 3's three phases do one thing: gather messages ``x[src] * w``,
+group them by destination and sum them.  The Main-Phase SpMV over a
+:class:`~repro.frameworks.blocking.BlockLayout`, the Pre-Phase seed push
+and the Post-Phase sink pull are therefore all one :class:`ReducePlan` —
+the message stream stable-sorted by destination, its per-destination
+runs, and partitions cut at run boundaries — run by one dispatcher,
+:func:`reduce`.  The Main-Phase differs only by its partitions (cut at
+block-column boundaries) and by the Cache step's ``static`` offset.
 
-* ``bincount`` — the original serial kernel: stream the bins in gather
-  order and accumulate with ``np.bincount`` (rank-k inputs go through one
-  flattened bincount over ``(dst, column)`` pairs instead of a per-column
-  Python loop).
-* ``reduceat`` — segmented reduce: destination run boundaries are
-  precomputed once at layout build time (:func:`build_reduce_plan`), and
-  the accumulation is a single ``np.add.reduceat`` over the run-sorted
-  message stream — O(m) work, no ``minlength=n`` zero-fill pass, no
-  ``astype`` copy, and native rank-k support via ``axis=0``.  The
-  default of every engine, CLI command and server: it is the fastest
-  measured Main-Phase kernel on the skewed proxies (DESIGN.md).
-* ``parallel`` — opt-in thread-pool execution: the Scatter phase walks
-  the block tasks (e.g. Mixen's balanced
-  :class:`~repro.core.partition.BlockTask` slices), the Gather phase the
-  block-columns, each split into one contiguous pool job per worker, on
-  top of either serial accumulation ``base``.  Worker count defaults to
-  :func:`repro.parallel.threadpool.default_workers`.
-* ``parallel-mp`` — process-pool execution: true multicore without the
-  GIL.  A persistent worker pool (:mod:`repro.parallel.procpool`)
-  attaches to the layout metadata and the input vector through
-  ``multiprocessing.shared_memory`` and fuses Scatter and Gather per
-  block-column, writing disjoint slices of a shared output buffer
-  lock-free.  Plans are packed once per layout (cached by structure
-  fingerprint); dispatch ships only a tiny manifest.
-* ``auto`` — always ``reduceat``: neither pool rung wins end to end on
-  any measured workload, so no size heuristic picks one (both stay
-  opt-in by name).
+Backends (the ``--kernel`` rungs):
 
-Numerical equivalence contract: serial and parallel execution of the same
-accumulation base are **bit-identical** (each thread owns the same
-contiguous run segments the serial kernel reduces).  ``bincount`` and
-``reduceat`` accumulate in different association orders (sequential vs
-NumPy's pairwise reduce), so on arbitrary floating-point inputs they agree
-to summation-order rounding (a few ulps); on integer-valued inputs —
-degrees, frontiers, unit vectors — all backends are bit-identical.
+* ``bincount`` — one sequential ``np.bincount`` over the plan's ``dst``
+  stream (rank-k inputs go through one flattened bincount over
+  ``(dst, column)`` pairs).
+* ``reduceat`` — one ``np.add.reduceat`` over the run table: O(m) work,
+  no ``minlength`` zero-fill, native rank-k support via ``axis=0``.  The
+  default of every engine, CLI command and server: the fastest measured
+  kernel on the skewed proxies (DESIGN.md).
+* ``parallel`` — opt-in thread-pool execution: a Scatter pass gathers
+  each partition's message slice, a Gather pass reduces each partition
+  into its own output rows, each pass cut into one contiguous pool job
+  per worker (:func:`repro.parallel.threadpool.parallel_for`).
+* ``parallel-mp`` — process-pool execution: persistent workers attach
+  to the packed plan and the input through shared memory and fuse
+  Scatter and Gather per partition (:mod:`repro.parallel.procpool`).
+* ``auto`` — always ``reduceat``; both pool rungs stay opt-in by name.
 
-Adding a backend: write a callable with the uniform kernel signature
-``fn(layout, x, *, static=None, max_workers=None, scatter_tasks=None)``
-and :func:`register_kernel` it; engines and the CLI pick it up by name.
+The pool rungs accumulate with a serial base — ``bincount`` for 1-D
+inputs, ``reduceat`` for rank-k — and run the plan's partitions.
+
+Numerical contract.  The stable sort keeps each destination's messages
+in their original stream order, and every partition cut lands on a run
+boundary, so a partition owns whole destinations and a disjoint output
+row interval (proved by :func:`repro.analysis.races.prove_schedule`).
+Serial and pool execution of the same base are therefore bit-identical
+for any worker count.  ``bincount`` (sequential) and ``reduceat``
+(pairwise) differ by summation-order rounding only; on integer-valued
+inputs — degrees, frontiers, unit vectors — every rung is exact.
 """
 
 from __future__ import annotations
@@ -63,68 +58,141 @@ KERNEL_NAMES = ("bincount", "reduceat", "parallel", "parallel-mp", "auto")
 #: transient ``m * k`` index allocation.
 _FLAT_BINCOUNT_MAX_MSGS = 1 << 24
 
+#: balanced partition sizing: aim for at least this many messages per
+#: partition (smaller phases gain nothing from pool dispatch) ...
+_MIN_MESSAGES_PER_PART = 4096
+#: ... and never more than this many partitions.
+_MAX_PARTS = 64
+
 
 @dataclass(frozen=True)
 class ReducePlan:
-    """Precomputed segmented-reduce schedule of one block layout.
+    """Precomputed segmented-reduce schedule of one message stream.
 
-    ``order`` maps reduce position -> scatter slot such that the message
-    stream ``x[src]`` is grouped by destination (a stable sort of the
-    gather stream, so each destination's messages keep their blocked
-    order).  ``run_starts``/``run_dst`` delimit the per-destination runs;
-    ``col_edge_ptr``/``col_run_ptr`` give each block-column's contiguous
-    edge/run span, which is what lets the thread-pool kernel reduce
-    columns independently yet bit-identically to the serial reduce.
+    ``src`` gathers the message sources in reduce (destination-sorted)
+    order and ``dst`` is the edge-aligned destination stream (the
+    bincount base's index vector); ``run_starts``/``run_dst`` delimit
+    the per-destination runs (the reduceat base's segment table);
+    ``part_edge_ptr``/``part_run_ptr`` tile messages and runs into
+    partitions whose cuts align with run boundaries, which is what
+    makes partitioned execution bit-identical to its serial base.
     """
 
-    order: np.ndarray = field(repr=False)
+    name: str
+    num_rows: int
     src: np.ndarray = field(repr=False)
+    dst: np.ndarray = field(repr=False)
     run_starts: np.ndarray = field(repr=False)
     run_dst: np.ndarray = field(repr=False)
-    col_edge_ptr: np.ndarray = field(repr=False)
-    col_run_ptr: np.ndarray = field(repr=False)
-    #: per-edge weights in reduce order (weighted SpMV), or None.
+    part_edge_ptr: np.ndarray = field(repr=False)
+    part_run_ptr: np.ndarray = field(repr=False)
+    #: per-message weights in reduce order (weighted SpMV), or None.
     values: np.ndarray | None = field(default=None, repr=False)
 
     @property
+    def num_messages(self) -> int:
+        """Messages the plan reduces (= edges of its structure)."""
+        return int(self.src.size)
+
+    @property
     def num_runs(self) -> int:
-        """Distinct destination runs (= nodes with in-edges)."""
+        """Distinct destinations written (= output rows touched)."""
         return int(self.run_dst.size)
 
+    @property
+    def num_partitions(self) -> int:
+        """Partitions the pool backends dispatch."""
+        return int(self.part_edge_ptr.size) - 1
 
-def build_reduce_plan(layout) -> ReducePlan:
-    """Compute the segmented-reduce schedule of ``layout`` (done once at
-    layout build time; the per-SpMV cost is then one gather plus one
-    ``reduceat``)."""
-    dst = layout.dst_scatter
-    order = np.argsort(dst, kind="stable")
-    dst_sorted = dst[order]
-    if dst_sorted.size:
-        run_starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(dst_sorted)) + 1)
+    def partition(self, p: int) -> tuple[int, int, int, int]:
+        """``(elo, ehi, rlo, rhi)``: partition ``p``'s message and run
+        spans."""
+        ep, rp = self.part_edge_ptr, self.part_run_ptr
+        return int(ep[p]), int(ep[p + 1]), int(rp[p]), int(rp[p + 1])
+
+
+def _cut_partitions(
+    run_starts: np.ndarray, num_messages: int, max_parts: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tile the run table into ~equal-message partitions, cutting only at
+    run boundaries (a destination split across partitions would break the
+    disjoint-output-range contract)."""
+    runs = int(run_starts.size)
+    if runs == 0 or num_messages == 0:
+        return np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64)
+    if max_parts is None:
+        max_parts = min(
+            _MAX_PARTS, max(1, num_messages // _MIN_MESSAGES_PER_PART)
+        )
+    parts = max(1, min(int(max_parts), runs))
+    targets = (np.arange(1, parts, dtype=np.int64) * num_messages) // parts
+    cuts = np.searchsorted(run_starts, targets, side="left")
+    part_run_ptr = np.unique(
+        np.concatenate(([0], cuts, [runs]))
+    ).astype(np.int64)
+    part_edge_ptr = np.append(
+        run_starts[part_run_ptr[:-1]], num_messages
+    ).astype(np.int64)
+    return part_edge_ptr, part_run_ptr
+
+
+def build_plan(
+    name: str,
+    num_rows: int,
+    src,
+    dst,
+    *,
+    values=None,
+    row_bounds=None,
+    max_parts: int | None = None,
+) -> ReducePlan:
+    """Plan the reduce of messages ``src -> dst`` into ``num_rows`` rows.
+
+    The stream is stable-sorted by destination (skipped when it already
+    is), so each destination's messages keep their input order — the
+    bit-identity anchor of the bincount base.  ``values`` are per-message
+    weights in input order.  Partitions are cut at the row boundaries
+    ``row_bounds`` when given (the Main-Phase's block-columns), otherwise
+    into ~equal-message partitions (at most ``max_parts``).
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if values is not None:
+        values = np.asarray(values, dtype=VALUE_DTYPE)
+    if dst.size > 1 and bool((dst[1:] < dst[:-1]).any()):
+        order = np.argsort(dst, kind="stable")
+        src, dst = src[order], dst[order]
+        if values is not None:
+            values = values[order]
+    if dst.size:
+        run_starts = np.flatnonzero(
+            np.concatenate(([True], dst[1:] != dst[:-1]))
         ).astype(np.int64)
-        run_dst = dst_sorted[run_starts]
     else:
         run_starts = np.empty(0, dtype=np.int64)
-        run_dst = np.empty(0, dtype=np.int64)
-    bounds = (
-        np.arange(layout.num_blocks_per_side + 1, dtype=np.int64)
-        * layout.block_nodes
-    )
-    values = layout.values_scatter
+    run_dst = dst[run_starts]
+    if row_bounds is not None:
+        part_edge_ptr = np.searchsorted(dst, row_bounds, side="left")
+        part_run_ptr = np.searchsorted(run_dst, row_bounds, side="left")
+    else:
+        part_edge_ptr, part_run_ptr = _cut_partitions(
+            run_starts, int(dst.size), max_parts
+        )
     return ReducePlan(
-        order=order,
-        src=layout.src_scatter[order],
+        name=name,
+        num_rows=int(num_rows),
+        src=np.ascontiguousarray(src),
+        dst=np.ascontiguousarray(dst),
         run_starts=run_starts,
-        run_dst=run_dst,
-        col_edge_ptr=np.searchsorted(dst_sorted, bounds, side="left"),
-        col_run_ptr=np.searchsorted(run_dst, bounds, side="left"),
-        values=None if values is None else values[order],
+        run_dst=np.ascontiguousarray(run_dst),
+        part_edge_ptr=np.asarray(part_edge_ptr, dtype=np.int64),
+        part_run_ptr=np.asarray(part_run_ptr, dtype=np.int64),
+        values=None if values is None else np.ascontiguousarray(values),
     )
 
 
 # --------------------------------------------------------------------- #
-# serial kernels
+# building blocks shared by every backend (and the pool workers)
 # --------------------------------------------------------------------- #
 def _flat_rank_indices(dst: np.ndarray, k: int) -> np.ndarray:
     """Flattened ``(dst, column)`` bincount indices, promoted to int64
@@ -135,124 +203,130 @@ def _flat_rank_indices(dst: np.ndarray, k: int) -> np.ndarray:
     )
 
 
-def spmv_bincount(
-    layout, x, *, static=None, max_workers=None, scatter_tasks=None
-) -> np.ndarray:
-    """Serial bincount kernel (the original backend).
+def gather_messages(x: np.ndarray, src: np.ndarray, values=None) -> np.ndarray:
+    """The message stream ``x[src] (* w)``.
 
-    ``max_workers``/``scatter_tasks`` are accepted for signature
-    uniformity and ignored.
+    ``np.take`` along axis 0 is bit-identical to ``x[src]`` and far
+    cheaper for rank-k ``x`` than 2-D fancy indexing.
     """
-    x = np.asarray(x, dtype=VALUE_DTYPE)
-    n = layout.num_nodes
-    # Scatter: stream x (block-row-confined gathers) into the bins;
-    # Gather: stream the bins in block-column order and accumulate.
-    bins = x[layout.src_scatter]
-    if layout.values_scatter is not None:
-        bins = (
-            bins * layout.values_scatter
-            if bins.ndim == 1
-            else bins * layout.values_scatter[:, None]
+    msgs = np.take(x, src, axis=0)
+    if values is not None:
+        msgs *= values if msgs.ndim == 1 else values[:, None]
+    return msgs
+
+
+def bincount_rows(dst: np.ndarray, msgs: np.ndarray, rows: int) -> np.ndarray:
+    """Sequential per-row sums of ``msgs`` at ``dst`` (rank-k aware)."""
+    if msgs.ndim == 1:
+        return np.bincount(dst, weights=msgs, minlength=rows).astype(
+            VALUE_DTYPE, copy=False
         )
-    msgs = bins[layout.gather_perm]
-    if x.ndim == 1:
-        y = np.bincount(
-            layout.dst_gather, weights=msgs, minlength=n
-        ).astype(VALUE_DTYPE, copy=False)
-        if static is not None:
-            y += static
-        return y
-    k = x.shape[1]
+    k = msgs.shape[1]
     if msgs.size <= _FLAT_BINCOUNT_MAX_MSGS:
         # One bincount over (dst, column) pairs instead of k Python-level
         # passes; accumulation order per pair matches the per-column loop.
-        flat = _flat_rank_indices(layout.dst_gather, k)
-        out = np.bincount(
-            flat.ravel(), weights=msgs.ravel(), minlength=n * k
-        ).reshape(n, k).astype(VALUE_DTYPE, copy=False)
-    else:
-        out = np.empty((n, k), dtype=VALUE_DTYPE)
-        for col in range(k):
-            out[:, col] = np.bincount(
-                layout.dst_gather, weights=msgs[:, col], minlength=n
-            )
-    if static is not None:
-        out += static
+        return np.bincount(
+            _flat_rank_indices(dst, k).ravel(),
+            weights=msgs.ravel(),
+            minlength=rows * k,
+        ).reshape(rows, k).astype(VALUE_DTYPE, copy=False)
+    out = np.empty((rows, k), dtype=VALUE_DTYPE)
+    for col in range(k):
+        out[:, col] = np.bincount(dst, weights=msgs[:, col], minlength=rows)
     return out
 
 
-def spmv_reduceat(
-    layout, x, *, static=None, max_workers=None, scatter_tasks=None
-) -> np.ndarray:
-    """Segmented-reduce kernel: one gather in reduce order plus one
-    ``np.add.reduceat`` over the precomputed destination runs.
+def reduce_partition(
+    y: np.ndarray,
+    msgs: np.ndarray,
+    base: str,
+    dst: np.ndarray,
+    run_starts: np.ndarray,
+    run_dst: np.ndarray,
+    span: tuple[int, int, int, int],
+) -> None:
+    """Reduce one partition's messages into its own rows of ``y``.
+
+    ``msgs`` holds the partition's messages ``[elo, ehi)``; ``span`` is
+    ``(elo, ehi, rlo, rhi)``.  The partition owns whole runs, so the
+    addends and their order per destination match the serial base.
+    """
+    elo, ehi, rlo, rhi = span
+    if rhi <= rlo:
+        return
+    if base == "bincount":
+        row_lo = int(run_dst[rlo])
+        row_hi = int(run_dst[rhi - 1]) + 1
+        y[row_lo:row_hi] = bincount_rows(
+            dst[elo:ehi] - row_lo, msgs, row_hi - row_lo
+        )
+    else:
+        y[run_dst[rlo:rhi]] = np.add.reduceat(
+            msgs, run_starts[rlo:rhi] - elo, axis=0
+        )
+
+
+def _out_shape(plan: ReducePlan, x: np.ndarray) -> tuple:
+    return (plan.num_rows,) + x.shape[1:]
+
+
+# --------------------------------------------------------------------- #
+# serial backends
+# --------------------------------------------------------------------- #
+def reduce_bincount(plan: ReducePlan, x, *, static=None, max_workers=None):
+    """Serial bincount backend: sequential accumulation over the
+    reduce-ordered stream, then the ``static`` offset."""
+    x = np.asarray(x, dtype=VALUE_DTYPE)
+    y = bincount_rows(
+        plan.dst, gather_messages(x, plan.src, plan.values), plan.num_rows
+    )
+    if static is not None:
+        y += static
+    return y
+
+
+def reduce_reduceat(plan: ReducePlan, x, *, static=None, max_workers=None):
+    """Segmented-reduce backend: one gather plus one ``np.add.reduceat``
+    over the per-destination runs.
 
     With ``static`` the accumulation starts from a copy of the cached
     seed contribution instead of a zero-filled array (the Cache step
-    without the ``minlength=n`` zero pass).  ``max_workers``/
-    ``scatter_tasks`` are accepted for signature uniformity and ignored.
+    without the zero pass).
     """
     x = np.asarray(x, dtype=VALUE_DTYPE)
-    plan = layout.reduce_plan
-    msgs = x[plan.src]
-    if plan.values is not None:
-        if msgs.ndim == 1:
-            msgs *= plan.values
-        else:
-            msgs *= plan.values[:, None]
+    msgs = gather_messages(x, plan.src, plan.values)
     if static is not None:
         y = np.array(static, dtype=VALUE_DTYPE)
         if plan.num_runs:
-            y[plan.run_dst] += np.add.reduceat(
-                msgs, plan.run_starts, axis=0
-            )
+            y[plan.run_dst] += np.add.reduceat(msgs, plan.run_starts, axis=0)
         return y
-    n = layout.num_nodes
-    shape = (n,) if x.ndim == 1 else (n, x.shape[1])
-    y = np.zeros(shape, dtype=VALUE_DTYPE)
+    y = np.zeros(_out_shape(plan, x), dtype=VALUE_DTYPE)
     if plan.num_runs:
         y[plan.run_dst] = np.add.reduceat(msgs, plan.run_starts, axis=0)
     return y
 
 
+_SERIAL = {"bincount": reduce_bincount, "reduceat": reduce_reduceat}
+
+
+def pool_base(x: np.ndarray) -> str:
+    """Serial accumulation base of a pool backend: ``bincount`` for 1-D
+    inputs, the natively rank-k ``reduceat`` otherwise."""
+    return "bincount" if x.ndim == 1 else "reduceat"
+
+
 # --------------------------------------------------------------------- #
-# thread-pool kernel
+# pool backends
 # --------------------------------------------------------------------- #
-def pool_base(base: str | None, rank_k: bool, role: str = "parallel") -> str:
-    """Serial accumulation base of a pool kernel: ``base`` when given,
-    else ``bincount`` for 1-D inputs and ``reduceat`` for rank-k."""
-    if base is None:
-        return "reduceat" if rank_k else "bincount"
-    if base not in ("bincount", "reduceat"):
-        raise EngineError(
-            f"unknown {role} base kernel {base!r}; "
-            "expected 'bincount' or 'reduceat'"
-        )
-    return base
+def reduce_parallel(plan: ReducePlan, x, *, static=None, max_workers=None):
+    """Partitioned reduce on a real thread pool.
 
-
-def spmv_parallel(
-    layout,
-    x,
-    *,
-    static=None,
-    max_workers=None,
-    scatter_tasks=None,
-    base=None,
-) -> np.ndarray:
-    """Blocked propagation executed on a real thread pool.
-
-    The Scatter phase runs the tasks (block edge slices, e.g. Mixen's
-    balanced :class:`~repro.core.partition.BlockTask` list; default: one
-    task per non-empty block), the Gather phase the block-columns, each
-    cut into one contiguous pool job per worker
-    (:func:`~repro.parallel.threadpool.parallel_for`).  NumPy releases
-    the GIL inside the slice kernels, so multicore hosts overlap the
-    work; each thread owns disjoint output ranges, making results
-    bit-identical to the serial ``base`` accumulation (``bincount`` for
-    1-D inputs, the natively rank-k ``reduceat`` otherwise).  With a
-    single available worker the serial base runs directly — same bits,
-    no pool dispatch overhead.
+    Scatter gathers each partition's message slice, Gather reduces each
+    partition into its disjoint output rows.  NumPy releases the GIL
+    inside the slice kernels, so multicore hosts overlap the work.  With
+    a single available worker the serial base runs directly — same bits,
+    no pool dispatch — unless a fault injector is armed, so drills hit
+    the real partition structure on any host width.
     """
     from ..parallel.threadpool import parallel_for, recommended_workers
     from ..resilience import faults
@@ -261,127 +335,52 @@ def spmv_parallel(
     if injector is not None:
         injector.parallel_call()
     x = np.asarray(x, dtype=VALUE_DTYPE)
-    n = layout.num_nodes
-    m = layout.num_edges
-    rank_k = x.ndim != 1
-    base = pool_base(base, rank_k)
-    workers = recommended_workers(
-        max(len(scatter_tasks) if scatter_tasks is not None else m, 1),
-        max_workers,
-    )
+    base = pool_base(x)
+    parts = plan.num_partitions
+    workers = recommended_workers(max(parts, 1), max_workers)
     if workers == 1 and injector is None:
-        # Single worker: pool dispatch adds overhead but no overlap, and
-        # the serial base produces bit-identical output anyway.  An
-        # armed fault injector disables the shortcut — drills must hit
-        # the real task/bins structure on any host width.
-        serial = spmv_reduceat if base == "reduceat" else spmv_bincount
-        return serial(layout, x, static=static)
-    shape = (m,) if not rank_k else (m, x.shape[1])
-    bins = np.empty(shape, dtype=VALUE_DTYPE)
-    if scatter_tasks is None:
-        ptr = layout.scatter_block_ptr
-        spans = [
-            (int(ptr[blk]), int(ptr[blk + 1]))
-            for blk in range(ptr.size - 1)
-            if ptr[blk + 1] > ptr[blk]
-        ]
-    else:
-        spans = [
-            (int(t[0]), int(t[1]))
-            if isinstance(t, tuple)
-            else (int(t.start), int(t.end))
-            for t in scatter_tasks
-        ]
+        return _SERIAL[base](plan, x, static=static)
+    ep = plan.part_edge_ptr
+    msgs = np.empty((plan.num_messages,) + x.shape[1:], dtype=VALUE_DTYPE)
 
-    def scatter(task):
-        task_index, (lo, hi) = task
+    def scatter(p):
         if injector is not None:
-            injector.task_event(task_index)
-        bins[lo:hi] = x[layout.src_scatter[lo:hi]]
-        if layout.values_scatter is not None:
-            if rank_k:
-                bins[lo:hi] *= layout.values_scatter[lo:hi, None]
-            else:
-                bins[lo:hi] *= layout.values_scatter[lo:hi]
+            injector.task_event(p)
+        lo, hi = int(ep[p]), int(ep[p + 1])
+        msgs[lo:hi] = gather_messages(
+            x,
+            plan.src[lo:hi],
+            None if plan.values is None else plan.values[lo:hi],
+        )
 
-    parallel_for(scatter, enumerate(spans), max_workers=workers)
+    parallel_for(scatter, range(parts), max_workers=workers)
     if injector is not None:
-        injector.corrupt_bins(bins)
+        injector.corrupt_bins(msgs)
+    y = np.zeros(_out_shape(plan, x), dtype=VALUE_DTYPE)
 
-    out_shape = (n,) if not rank_k else (n, x.shape[1])
-    y = np.zeros(out_shape, dtype=VALUE_DTYPE)
-    b = layout.num_blocks_per_side
-    c = layout.block_nodes
+    def gather(p):
+        span = plan.partition(p)
+        reduce_partition(
+            y, msgs[span[0] : span[1]], base,
+            plan.dst, plan.run_starts, plan.run_dst, span,
+        )
 
-    if base == "bincount":
-        gp = layout.gather_block_ptr
-
-        def gather(j):
-            lo, hi = int(gp[j * b]), int(gp[(j + 1) * b])
-            if hi <= lo:
-                return
-            col_lo = j * c
-            col_hi = min((j + 1) * c, n)
-            msgs = bins[layout.gather_perm[lo:hi]]
-            local_dst = layout.dst_gather[lo:hi] - col_lo
-            if not rank_k:
-                y[col_lo:col_hi] = np.bincount(
-                    local_dst, weights=msgs, minlength=col_hi - col_lo
-                )
-            else:
-                for col in range(x.shape[1]):
-                    y[col_lo:col_hi, col] = np.bincount(
-                        local_dst,
-                        weights=msgs[:, col],
-                        minlength=col_hi - col_lo,
-                    )
-
-    else:
-        plan = layout.reduce_plan
-        ep, rp = plan.col_edge_ptr, plan.col_run_ptr
-
-        def gather(j):
-            elo, ehi = int(ep[j]), int(ep[j + 1])
-            if ehi <= elo:
-                return
-            rlo, rhi = int(rp[j]), int(rp[j + 1])
-            msgs = bins[plan.order[elo:ehi]]
-            y[plan.run_dst[rlo:rhi]] = np.add.reduceat(
-                msgs, plan.run_starts[rlo:rhi] - elo, axis=0
-            )
-
-    parallel_for(gather, range(b), max_workers=workers)
+    parallel_for(gather, range(parts), max_workers=workers)
     if static is not None:
         y += static
     return y
 
 
-# --------------------------------------------------------------------- #
-# process-pool kernel
-# --------------------------------------------------------------------- #
-def spmv_parallel_mp(
-    layout,
-    x,
-    *,
-    static=None,
-    max_workers=None,
-    scatter_tasks=None,
-    base=None,
-) -> np.ndarray:
-    """Blocked propagation executed on a shared-memory process pool.
+def reduce_parallel_mp(
+    plan: ReducePlan, x, *, static=None, max_workers=None
+):
+    """Partitioned reduce on the shared-memory process pool.
 
-    Each worker process attaches to a packed, fingerprint-cached shm
-    plan (:func:`repro.parallel.procpool.ensure_layout_plan`) and fuses
-    Scatter and Gather over its stride of block-columns, accumulating
-    with the serial ``base``'s exact per-destination order into a
-    disjoint slice of the shared output buffer — bit-identical to the
-    serial backend, proved disjoint by
-    :func:`repro.analysis.races.prove_mp_reduce` at plan build.
-
-    ``scatter_tasks`` is accepted for signature uniformity and ignored:
-    the mp task unit is the block-column (fused), not the scatter slice.
-    With a single available worker the serial base runs directly —
-    same bits, no pool or segment overhead.
+    Each worker attaches to the packed, fingerprint-cached plan
+    (:func:`repro.parallel.procpool.ensure_plan`), fuses Scatter and
+    Gather over its stride of partitions and writes their row intervals
+    into the shared output buffer lock-free.  Same serial shortcut and
+    fault-injection sites as the thread backend.
     """
     from ..parallel import procpool
     from ..parallel.threadpool import recommended_workers
@@ -391,22 +390,15 @@ def spmv_parallel_mp(
     if injector is not None:
         injector.parallel_call()
     x = np.asarray(x, dtype=VALUE_DTYPE)
-    m = layout.num_edges
-    rank_k = x.ndim != 1
-    base = pool_base(base, rank_k)
-    serial = spmv_reduceat if base == "reduceat" else spmv_bincount
-    if m == 0:
-        return serial(layout, x, static=static)
-    workers = recommended_workers(
-        layout.num_blocks_per_side, max_workers
-    )
+    base = pool_base(x)
+    if plan.num_runs == 0:
+        return _SERIAL[base](plan, x, static=static)
+    workers = recommended_workers(plan.num_partitions, max_workers)
     if workers == 1 and injector is None:
-        # Same shortcut as the thread kernel: one worker means process
-        # dispatch overhead with no overlap; an armed injector disables
-        # it so fault drills exercise the real pool on any host width.
-        return serial(layout, x, static=static)
-    plan = procpool.ensure_layout_plan(layout, base)
-    y = procpool.run_reduce(plan, x, base=base, workers=workers)
+        return _SERIAL[base](plan, x, static=static)
+    y = procpool.run_reduce(
+        procpool.ensure_plan(plan), x, base=base, workers=workers
+    )
     if injector is not None:
         # Post-collection corruption drill: a torn/poisoned shared
         # output buffer must trip the executor's non-finite downgrade.
@@ -419,22 +411,14 @@ def spmv_parallel_mp(
 # --------------------------------------------------------------------- #
 # dispatch
 # --------------------------------------------------------------------- #
-#: name -> kernel callable with the uniform signature
-#: ``fn(layout, x, *, static, max_workers, scatter_tasks)``.
+#: name -> backend with the uniform signature
+#: ``fn(plan, x, *, static, max_workers)``.
 KERNELS: dict[str, Callable] = {
-    "bincount": spmv_bincount,
-    "reduceat": spmv_reduceat,
-    "parallel": spmv_parallel,
-    "parallel-mp": spmv_parallel_mp,
+    "bincount": reduce_bincount,
+    "reduceat": reduce_reduceat,
+    "parallel": reduce_parallel,
+    "parallel-mp": reduce_parallel_mp,
 }
-
-
-def register_kernel(name: str, fn: Callable) -> None:
-    """Register a kernel backend under ``name`` (idempotent
-    re-register); ``auto`` is reserved for the resolver."""
-    if name == "auto":
-        raise EngineError("'auto' is reserved for the kernel resolver")
-    KERNELS[name] = fn
 
 
 def resolve_kernel(name: str) -> str:
@@ -450,40 +434,32 @@ def resolve_kernel(name: str) -> str:
     return name
 
 
-def spmv(
-    layout,
+def reduce(
+    plan: ReducePlan,
     x,
     *,
     kernel: str = "auto",
     static=None,
-    max_workers=None,
-    scatter_tasks=None,
+    max_workers: int | None = None,
 ) -> np.ndarray:
-    """Dispatch one blocked propagation to the named kernel backend.
+    """Run one reduce of ``plan`` over ``x`` on the named backend.
 
-    With ``REPRO_RACE_CHECK`` set, the first parallel dispatch of each
-    layout replays the schedule with instrumentation and cross-checks it
-    against the static race proof (:mod:`repro.analysis.races`).
+    ``static`` offsets the result (the Main-Phase Cache step).  An armed
+    fault injector sees one ``kernel_call`` per reduce; with
+    ``REPRO_RACE_CHECK`` set, each plan's partitions are replayed once
+    before their first pool dispatch (:mod:`repro.analysis.races`).
     """
     resolved = resolve_kernel(kernel)
     if resolved in ("parallel", "parallel-mp"):
-        from ..analysis.races import (
-            ensure_layout_checked,
-            race_check_enabled,
-        )
+        from ..analysis.races import ensure_plan_checked, race_check_enabled
 
         if race_check_enabled():
-            ensure_layout_checked(layout, scatter_tasks)
+            ensure_plan_checked(plan)
     from ..resilience import faults
 
     injector = faults.active()
     if injector is not None:
         injector.kernel_call(resolved)
-    fn = KERNELS[resolved]
-    return fn(
-        layout,
-        x,
-        static=static,
-        max_workers=max_workers,
-        scatter_tasks=scatter_tasks,
+    return KERNELS[resolved](
+        plan, x, static=static, max_workers=max_workers
     )

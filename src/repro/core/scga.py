@@ -25,12 +25,8 @@ from ..frameworks.blocking import trace_blocked_iteration
 from ..graphs.csr import CSR
 from ..types import VALUE_DTYPE
 from .partition import RegularPartition
-from .phases import (
-    PhaseReducePlan,
-    build_push_plan,
-    phase_reduce,
-    trace_phase_reduce,
-)
+from .kernels import ReducePlan
+from .phases import build_push_plan, phase_reduce, trace_phase_reduce
 
 
 class ScgaKernel:
@@ -47,12 +43,12 @@ class ScgaKernel:
         True: build static bins once (:meth:`set_seed_input`), reuse every
         iteration.  False: recompute the seed contribution per iteration.
     kernel:
-        SpMV backend name (:mod:`repro.core.kernels`); the thread-pool
-        kernel consumes the partition's balanced block tasks.  The
-        attribute stays writable mid-run: the resilient runtime
-        (:mod:`repro.resilience.executor`) downgrades it one rung at a
-        time (``parallel-mp -> parallel -> reduceat -> bincount``) when a backend
-        keeps failing, and the next :meth:`iterate` picks it up.
+        Backend name (:mod:`repro.core.kernels`) running the layout's
+        reduce plan and the seed push.  The attribute stays writable
+        mid-run: the resilient runtime (:mod:`repro.resilience.executor`)
+        downgrades it one rung at a time (``parallel-mp -> parallel ->
+        reduceat -> bincount``) when a backend keeps failing, and the
+        next :meth:`iterate` picks it up.
     max_workers:
         Thread-pool width for the parallel kernel (None: host default).
     """
@@ -66,7 +62,7 @@ class ScgaKernel:
         seed_values: np.ndarray | None = None,
         kernel: str = "bincount",
         max_workers: int | None = None,
-        seed_plan: PhaseReducePlan | None = None,
+        seed_plan: ReducePlan | None = None,
     ) -> None:
         self.partition = partition
         self.seed_to_reg = seed_to_reg
@@ -84,7 +80,7 @@ class ScgaKernel:
         return self.partition.layout.num_nodes
 
     @property
-    def seed_plan(self) -> PhaseReducePlan:
+    def seed_plan(self) -> ReducePlan:
         """Pre-Phase segmented-reduce plan (built lazily when the engine
         did not pass the mixed format's cached one)."""
         if self._seed_plan is None:
@@ -131,7 +127,6 @@ class ScgaKernel:
             static=static,
             kernel=self.kernel,
             max_workers=self.max_workers,
-            scatter_tasks=self.partition.tasks,
         )
 
     def iterate(self, xs_reg: np.ndarray) -> np.ndarray:

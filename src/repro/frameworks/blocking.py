@@ -69,12 +69,24 @@ class BlockLayout:
 
     @cached_property
     def reduce_plan(self):
-        """Segmented-reduce schedule of this layout (built eagerly by
-        :func:`build_block_layout`; see
-        :func:`repro.core.kernels.build_reduce_plan`)."""
-        from ..core.kernels import build_reduce_plan
+        """The Main-Phase segmented-reduce plan of this layout (built
+        eagerly by :func:`build_block_layout`): its partitions are the
+        block-columns, run-aligned by construction because a destination
+        never spans two columns."""
+        from ..core.kernels import build_plan
 
-        return build_reduce_plan(self)
+        bounds = (
+            np.arange(self.num_blocks_per_side + 1, dtype=np.int64)
+            * self.block_nodes
+        )
+        return build_plan(
+            "main",
+            self.num_nodes,
+            self.src_scatter,
+            self.dst_scatter,
+            values=self.values_scatter,
+            row_bounds=bounds,
+        )
 
     def spmv(
         self,
@@ -87,42 +99,19 @@ class BlockLayout:
     ) -> np.ndarray:
         """Blocked propagation ``y = A^T x (+ static)`` over the layout.
 
-        ``static`` is Mixen's cached seed contribution: the Gather
-        accumulation starts from it instead of zero (the Cache step).
-        ``kernel`` selects the backend (:mod:`repro.core.kernels`);
-        ``max_workers``/``scatter_tasks`` feed the thread-pool backend.
+        ``static`` is Mixen's cached seed contribution (the Cache step);
+        ``kernel`` selects the backend that runs :attr:`reduce_plan`
+        (:func:`repro.core.kernels.reduce`).  ``scatter_tasks`` is
+        accepted and ignored: every backend runs the plan's partitions.
         """
-        from ..core.kernels import spmv as dispatch_spmv
+        from ..core.kernels import reduce
 
-        return dispatch_spmv(
-            self,
+        return reduce(
+            self.reduce_plan,
             x,
             kernel=kernel,
             static=static,
             max_workers=max_workers,
-            scatter_tasks=scatter_tasks,
-        )
-
-    def spmv_parallel(
-        self,
-        x: np.ndarray,
-        *,
-        static: np.ndarray | None = None,
-        max_workers: int | None = None,
-        scatter_tasks=None,
-        base: str | None = None,
-    ) -> np.ndarray:
-        """Blocked propagation on a real thread pool
-        (:func:`repro.core.kernels.spmv_parallel`)."""
-        from ..core.kernels import spmv_parallel
-
-        return spmv_parallel(
-            self,
-            x,
-            static=static,
-            max_workers=max_workers,
-            scatter_tasks=scatter_tasks,
-            base=base,
         )
 
     def frontier_step(
@@ -247,12 +236,11 @@ def trace_blocked_iteration(
     ``--kernel`` dispatch of the execution path, mirrored into the
     machine model):
 
-    * ``bincount`` — the blocked two-phase pattern above;
-    * ``parallel`` — the thread-pool kernel; its serial-equivalent
-      pattern is the same blocked two-phase schedule (each worker walks
-      its block slice), so it records as ``bincount``;
+    * ``bincount`` and ``parallel`` — the paper's blocked two-phase
+      pattern above (the model of Section 3; the executed kernels
+      stream the reduce plan in destination order instead);
     * ``reduceat`` — the segmented-reduce kernel
-      (:func:`repro.core.kernels.spmv_reduceat`), which skips the bins
+      (:func:`repro.core.kernels.reduce_reduceat`), which skips the bins
       entirely: one x gather in destination-sorted order, a streamed
       message buffer, the run-start/run-destination metadata streams
       and one y scatter per destination run;
@@ -330,7 +318,7 @@ def _trace_reduceat_iteration(
     bins_name: str,
 ) -> None:
     """Record one segmented-reduce iteration
-    (:func:`repro.core.kernels.spmv_reduceat`) into ``trace``.
+    (:func:`repro.core.kernels.reduce_reduceat`) into ``trace``.
 
     The kernel gathers ``x`` at the destination-sorted edge sources
     (``plan.src``), materializes the message stream (modelled in the
@@ -371,7 +359,8 @@ class BlockingEngine(Engine):
     kernel:
         SpMV backend (:data:`repro.core.kernels.KERNEL_NAMES`); the
         serial ``reduceat`` kernel is the default, and the opt-in pool
-        kernels run over the block tasks with auto worker selection.
+        kernels run the plan's block-column partitions with auto worker
+        selection.
     max_workers:
         Thread-pool width for the parallel kernel (default: the host's
         :func:`repro.parallel.threadpool.default_workers`).
@@ -421,34 +410,32 @@ class BlockingEngine(Engine):
             csr.row_ids(), csr.indices, self.graph.num_nodes,
             self.block_nodes, values=self.edge_values,
         )
-        from ..core.partition import make_block_tasks
-
-        self.tasks = make_block_tasks(self.layout)
-        # Static race-freedom proof of the task schedule — always on;
-        # O(m) metadata reductions amortized against the layout sorts.
+        # Static race-freedom proof of the Main-Phase plan — always on;
+        # O(m) vectorized checks amortized against the layout sorts.
         from ..analysis.races import (
-            dynamic_race_check,
             prove_schedule,
             race_check_enabled,
+            replay_plan,
         )
 
-        self.race_proof = prove_schedule(self.layout, self.tasks)
+        plan = self.layout.reduce_plan
+        self.race_proof = prove_schedule(plan)
         if self.race_check or (
             self.race_check is None and race_check_enabled()
         ):
-            dynamic_race_check(self.layout, self.tasks)
-        # Machine-readable proof certificate of the block schedule under
-        # this engine's kernel; its id travels on every result.
+            replay_plan(plan)
+        # Machine-readable proof certificate of the plan under this
+        # engine's kernel; its id travels on every result.
         from ..analysis.certify import certify_layout
 
         self.certificate = certify_layout(
-            self.layout, self.kernel, tasks=self.tasks,
-            structure="block-main", proof=self.race_proof,
+            self.layout, self.kernel, structure="block-main",
+            proof=self.race_proof,
         )
         if self.validate:
             from ..analysis.contracts import check_layout
 
-            check_layout(self.layout, self.tasks).raise_on_failure()
+            check_layout(self.layout).raise_on_failure()
         return {"partition": time.perf_counter() - start}
 
     def propagate(self, x: np.ndarray) -> np.ndarray:
@@ -457,7 +444,6 @@ class BlockingEngine(Engine):
             self._check_x(x),
             kernel=self.kernel,
             max_workers=self.max_workers,
-            scatter_tasks=self.tasks,
         )
 
     def traced_propagate(self, x: np.ndarray, trace) -> np.ndarray:

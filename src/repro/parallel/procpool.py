@@ -1,14 +1,14 @@
 """Shared-memory process-pool execution (the ``parallel-mp`` backend).
 
 The thread-pool kernel only overlaps NumPy's GIL-released sections; this
-module executes the same provably race-free schedules on a persistent
-pool of **worker processes** that attach read-only to the plan metadata
-and input vector via :mod:`multiprocessing.shared_memory` and write
-their output slices directly into a shared output buffer — lock-free,
-because every task owns a disjoint half-open output interval
-(:func:`repro.analysis.races.prove_mp_reduce` certifies this at plan
-build time, extending the PR 2 interval-disjointness proofs and the
-PR 5 run-aligned partition cuts to the process failure domain).
+module runs the same :class:`~repro.core.kernels.ReducePlan` partitions
+on a persistent pool of **worker processes** that attach read-only to
+the plan metadata and input vector via :mod:`multiprocessing.shared_memory`
+and write their output rows directly into a shared output buffer —
+lock-free, because every partition owns a disjoint output row interval
+(:func:`repro.analysis.races.prove_schedule` proves this for the plan,
+and the task table shipped to the workers *is* the plan's partition
+table).
 
 Architecture
 ------------
@@ -18,14 +18,16 @@ Architecture
   ``atexit`` hook; the interpreter's ``resource_tracker`` is the
   crash backstop (it unlinks leftovers if the parent dies hard).
   Workers attach but never unlink: the parent owns segment lifetime.
-* :class:`ShmReducePlan` — one packed segment per (structure
-  fingerprint, variant) holding the reduce-ordered metadata arrays plus
-  a ``(num_tasks, 6)`` task table ``(elo, ehi, rlo, rhi, row_lo,
-  row_hi)``; plans are cached in a small LRU keyed by the layout/plan
-  fingerprint so repeated dispatches ship only a tiny manifest.
+* :class:`ShmReducePlan` — one packed segment per plan fingerprint
+  holding the plan's streams plus a ``(num_tasks, 4)`` task table
+  ``(elo, ehi, rlo, rhi)`` of its non-empty partitions; plans are cached
+  in a small LRU keyed by the fingerprint so repeated dispatches ship
+  only a tiny manifest.
 * :class:`ProcPool` — persistent workers (fork start method where
   available, ``REPRO_MP_START_METHOD`` overrides), one task queue per
-  worker plus a shared result queue.  Task assignment is a
+  worker plus a shared result queue.  A worker whose parent has died
+  (reparented, e.g. after a SIGKILL) exits at its next queue poll
+  instead of blocking forever.  Task assignment is a
   deterministic stride: worker ``r`` owns tasks ``r, r+W, r+2W, ...``
   — load-balanced for hub-skewed column loads and reproducible, which
   is what keeps fault drills bit-identical across runs.
@@ -38,11 +40,12 @@ Architecture
   degradation ladder can step the run down to the thread backend with
   no orphan shared memory left behind.
 
-Bit-identity: workers fuse Scatter and Gather — each task gathers
-``x[src]``, applies weights, and accumulates with exactly the serial
-base's per-destination addend order (``bincount`` sequential,
-``reduceat`` pairwise) into its own output interval — so ``parallel-mp``
-is bit-identical to serial/threaded execution of the same base.
+Bit-identity: workers fuse Scatter and Gather — each partition gathers
+``x[src]``, applies weights, and accumulates with the serial base's
+per-destination addend order through the same
+:func:`~repro.core.kernels.reduce_partition` the thread rung uses — so
+``parallel-mp`` is bit-identical to serial/threaded execution of the
+same base.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..core.kernels import _flat_rank_indices
+from ..core.kernels import gather_messages, reduce_partition
 from ..errors import MachineError, ResilienceError, StallError, WorkerCrashError
 
 #: prefix of every segment this module creates (``/dev/shm`` visible).
@@ -75,6 +78,10 @@ DEFAULT_PLAN_CACHE = 8
 
 #: result-queue poll interval while watching worker liveness (seconds).
 _POLL_SECONDS = 0.05
+
+#: worker task-queue poll interval between parent-liveness checks
+#: (seconds).
+_ORPHAN_POLL_SECONDS = 0.5
 
 #: segment payload alignment (cache line).
 _ALIGN = 64
@@ -214,60 +221,49 @@ def _worker_arrays(manifest: dict, cache: dict) -> dict:
 
 
 def _execute_job(msg: dict, cache: dict) -> None:
-    """Run this worker's task slice of one reduce job.
+    """Run this worker's partitions of one reduce job.
 
-    Every task owns a disjoint output interval (proved at plan build),
-    so the writes into the shared ``y`` buffer need no locks; the
-    accumulation per task replicates the serial base bit for bit.
+    Every partition owns a disjoint output row interval (proved for the
+    plan), so the writes into the shared ``y`` buffer need no locks.
     """
     plan = _worker_arrays(msg["plan"], cache)
     x = _worker_view(msg["x"], cache)
     y = _worker_view(msg["y"], cache)
-    base = msg["base"]
     tasks = plan["tasks"]
     src = plan["src"]
     values = plan.get("values")
-    rank_k = x.ndim != 1
     for t in msg["task_ids"]:
-        elo, ehi, rlo, rhi, row_lo, row_hi = (int(v) for v in tasks[t])
-        if ehi <= elo:
-            continue
-        msgs = x[src[elo:ehi]]
-        if values is not None:
-            msgs = msgs * (
-                values[elo:ehi] if not rank_k else values[elo:ehi, None]
-            )
-        if base == "bincount":
-            local_dst = plan["dst"][elo:ehi] - row_lo
-            span = row_hi - row_lo
-            if not rank_k:
-                y[row_lo:row_hi] = np.bincount(
-                    local_dst, weights=msgs, minlength=span
-                )
-            else:
-                k = x.shape[1]
-                flat = _flat_rank_indices(local_dst, k)
-                y[row_lo:row_hi] = np.bincount(
-                    flat.ravel(), weights=msgs.ravel(),
-                    minlength=span * k,
-                ).reshape(span, k)
-        else:
-            run_dst = plan["run_dst"]
-            run_starts = plan["run_starts"]
-            y[run_dst[rlo:rhi]] = np.add.reduceat(
-                msgs, run_starts[rlo:rhi] - elo, axis=0
-            )
+        elo, ehi, rlo, rhi = (int(v) for v in tasks[t])
+        msgs = gather_messages(
+            x, src[elo:ehi], None if values is None else values[elo:ehi]
+        )
+        reduce_partition(
+            y, msgs, msg["base"],
+            plan["dst"], plan["run_starts"], plan["run_dst"],
+            (elo, ehi, rlo, rhi),
+        )
 
 
-def _worker_main(rank: int, task_q, result_q) -> None:
+def _worker_main(rank: int, task_q, result_q, parent_pid: int | None) -> None:
     """Worker loop: obey fault directives, execute, acknowledge.
 
-    Ends with ``os._exit`` so a forked child never runs the parent's
-    ``atexit`` hooks (which would unlink segments the parent owns).
+    Exits once its parent ``parent_pid`` is gone (the worker has been
+    reparented), so a SIGKILLed parent leaves no worker blocked on its
+    queue; ``None`` (a forkserver child) watches the parent it starts
+    with.  Ends with ``os._exit`` so a forked child never runs the
+    parent's ``atexit`` hooks (which would unlink segments the parent
+    owns).
     """
+    if parent_pid is None:
+        parent_pid = os.getppid()
     cache: dict = {}
     while True:
-        msg = task_q.get()
+        try:
+            msg = task_q.get(timeout=_ORPHAN_POLL_SECONDS)
+        except queue.Empty:
+            if os.getppid() != parent_pid:
+                break
+            continue
         if msg is None:
             break
         try:
@@ -301,15 +297,13 @@ def _worker_main(rank: int, task_q, result_q) -> None:
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ShmReducePlan:
-    """One packed, proven, shared-memory-resident reduce schedule."""
+    """One packed, shared-memory-resident reduce plan."""
 
     key: tuple
     manifest: dict = field(repr=False)
     num_tasks: int = 0
     num_rows: int = 0
     num_messages: int = 0
-    #: evidence record from :func:`repro.analysis.races.prove_mp_reduce`.
-    proof: object = field(default=None, repr=False, compare=False)
 
     @property
     def segment(self) -> str:
@@ -323,7 +317,7 @@ _FP_VALUES: dict[int, str] = {}
 
 def _cached_fingerprint(obj, parts) -> str:
     """Memoized structure fingerprint (id-keyed, liveness-guarded —
-    the same pattern :mod:`repro.analysis.races` uses for layouts)."""
+    the same pattern :mod:`repro.analysis.races` uses for plans)."""
     key = id(obj)
     if _FP_OBJECTS.get(key) is obj:
         return _FP_VALUES[key]
@@ -370,54 +364,11 @@ def _cache_plan(key: tuple, builder) -> ShmReducePlan:
     return plan
 
 
-def _finish_plan(
-    key: tuple,
-    arrays: dict,
-    tasks: np.ndarray,
-    *,
-    num_rows: int,
-    num_messages: int,
-    proof_name: str,
-    dst=None,
-    run_dst=None,
-) -> ShmReducePlan:
-    from ..analysis.races import prove_mp_reduce
-
-    proof = prove_mp_reduce(
-        proof_name, tasks, num_rows, num_messages,
-        dst=dst, run_dst=run_dst,
-    )
-    arrays = dict(arrays)
-    arrays["tasks"] = tasks
-    _, manifest = _pack_arrays(arrays)
-    return ShmReducePlan(
-        key=key,
-        manifest=manifest,
-        num_tasks=int(tasks.shape[0]),
-        num_rows=int(num_rows),
-        num_messages=int(num_messages),
-        proof=proof,
-    )
-
-
-def layout_fingerprint(layout) -> str:
-    """Structure fingerprint of a block layout (shm plan cache key)."""
+def plan_fingerprint(plan) -> str:
+    """Structure fingerprint of a reduce plan (shm plan cache key and
+    certificate key)."""
     parts = [
-        "layout",
-        layout.num_nodes,
-        layout.block_nodes,
-        layout.src_scatter,
-        layout.dst_scatter,
-    ]
-    if layout.values_scatter is not None:
-        parts.append(layout.values_scatter)
-    return _cached_fingerprint(layout, parts)
-
-
-def phase_plan_fingerprint(plan) -> str:
-    """Structure fingerprint of a phase reduce plan (cache key)."""
-    parts = [
-        "phase",
+        "plan",
         plan.name,
         plan.num_rows,
         plan.src,
@@ -429,117 +380,36 @@ def phase_plan_fingerprint(plan) -> str:
     return _cached_fingerprint(plan, parts)
 
 
-def layout_reduce_tasks(layout, base: str) -> tuple:
-    """The ``(num_tasks, 6)`` task table and metadata arrays of one
-    block layout for one accumulation base — the pure (no shared
-    memory, no pool) half of :func:`ensure_layout_plan`.
+def plan_tasks(plan) -> np.ndarray:
+    """The ``(num_tasks, 4)`` task table ``(elo, ehi, rlo, rhi)``: the
+    plan's non-empty partitions, in order."""
+    ep, rp = plan.part_edge_ptr, plan.part_run_ptr
+    table = np.stack((ep[:-1], ep[1:], rp[:-1], rp[1:]), axis=1)
+    return np.ascontiguousarray(table[table[:, 1] > table[:, 0]])
 
-    Tasks are the layout's block-columns (the same disjoint output
-    intervals the thread kernel's Gather phase owns); the metadata is
-    pre-permuted so workers fuse Scatter and Gather into one pass.
-    Returns ``(tasks, arrays, dst, run_dst)`` ready for
-    :func:`repro.analysis.races.prove_mp_reduce` — which is how the
-    plan certifier proves the mp schedule without spawning workers.
-    """
-    n = layout.num_nodes
-    b = layout.num_blocks_per_side
-    c = layout.block_nodes
-    rows = []
-    if base == "bincount":
-        gp = layout.gather_block_ptr
-        for j in range(b):
-            elo, ehi = int(gp[j * b]), int(gp[(j + 1) * b])
-            if ehi <= elo:
-                continue
-            rows.append(
-                (elo, ehi, 0, 0, j * c, min((j + 1) * c, n))
-            )
-        values = layout.values_scatter
-        arrays = {
-            "src": layout.src_gather,
-            "dst": layout.dst_gather,
-        }
-        if values is not None:
-            arrays["values"] = values[layout.gather_perm]
-        dst, run_dst = layout.dst_gather, None
-    else:
-        plan = layout.reduce_plan
-        ep, rp = plan.col_edge_ptr, plan.col_run_ptr
-        for j in range(b):
-            elo, ehi = int(ep[j]), int(ep[j + 1])
-            if ehi <= elo:
-                continue
-            rows.append(
-                (elo, ehi, int(rp[j]), int(rp[j + 1]),
-                 j * c, min((j + 1) * c, n))
-            )
+
+def ensure_plan(plan) -> ShmReducePlan:
+    """Packed shm copy of one reduce plan (both accumulation bases run
+    from the same streams)."""
+    key = (plan_fingerprint(plan),)
+
+    def build() -> ShmReducePlan:
         arrays = {
             "src": plan.src,
+            "dst": plan.dst,
             "run_starts": plan.run_starts,
             "run_dst": plan.run_dst,
+            "tasks": plan_tasks(plan),
         }
         if plan.values is not None:
             arrays["values"] = plan.values
-        dst, run_dst = None, plan.run_dst
-    tasks = np.asarray(rows, dtype=np.int64).reshape(-1, 6)
-    return tasks, arrays, dst, run_dst
-
-
-def phase_reduce_tasks(plan) -> tuple:
-    """Pure task table of one phase reduce plan (both bases share it:
-    the partition table already carries runs and edges).  Returns
-    ``(tasks, arrays, dst, run_dst)`` like :func:`layout_reduce_tasks`.
-    """
-    ep, rp = plan.part_edge_ptr, plan.part_run_ptr
-    rows = []
-    for p in range(plan.num_partitions):
-        elo, ehi = int(ep[p]), int(ep[p + 1])
-        rlo, rhi = int(rp[p]), int(rp[p + 1])
-        if ehi <= elo or rhi <= rlo:
-            continue
-        rows.append(
-            (elo, ehi, rlo, rhi,
-             int(plan.run_dst[rlo]), int(plan.run_dst[rhi - 1]) + 1)
-        )
-    arrays = {
-        "src": plan.src,
-        "dst": plan.dst,
-        "run_starts": plan.run_starts,
-        "run_dst": plan.run_dst,
-    }
-    if plan.values is not None:
-        arrays["values"] = plan.values
-    tasks = np.asarray(rows, dtype=np.int64).reshape(-1, 6)
-    return tasks, arrays, plan.dst, plan.run_dst
-
-
-def ensure_layout_plan(layout, base: str) -> ShmReducePlan:
-    """Packed shm plan of one block layout for one accumulation base."""
-    key = (layout_fingerprint(layout), "layout", base)
-
-    def build() -> ShmReducePlan:
-        tasks, arrays, dst, run_dst = layout_reduce_tasks(layout, base)
-        return _finish_plan(
-            key, arrays, tasks,
-            num_rows=layout.num_nodes, num_messages=layout.num_edges,
-            proof_name=f"mp-layout-{base}",
-            dst=dst, run_dst=run_dst,
-        )
-
-    return _cache_plan(key, build)
-
-
-def ensure_phase_plan(plan, base: str) -> ShmReducePlan:
-    """Packed shm plan of one phase reduce plan."""
-    key = (phase_plan_fingerprint(plan), "phase", base)
-
-    def build() -> ShmReducePlan:
-        tasks, arrays, dst, run_dst = phase_reduce_tasks(plan)
-        return _finish_plan(
-            key, arrays, tasks,
-            num_rows=plan.num_rows, num_messages=plan.num_messages,
-            proof_name=f"mp-phase-{plan.name}",
-            dst=dst, run_dst=run_dst,
+        _, manifest = _pack_arrays(arrays)
+        return ShmReducePlan(
+            key=key,
+            manifest=manifest,
+            num_tasks=int(arrays["tasks"].shape[0]),
+            num_rows=plan.num_rows,
+            num_messages=plan.num_messages,
         )
 
     return _cache_plan(key, build)
@@ -615,9 +485,15 @@ class ProcPool:
     # ------------------------------------------------------------------ #
     def _spawn(self, rank: int) -> None:
         task_q = self._ctx.Queue()
+        # A forkserver, not this process, is the parent of its workers.
+        parent = (
+            None
+            if self._ctx.get_start_method() == "forkserver"
+            else os.getpid()
+        )
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(rank, task_q, self._results),
+            args=(rank, task_q, self._results, parent),
             name=f"repro-mp-worker-{rank}",
             daemon=True,
         )

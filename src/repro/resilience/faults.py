@@ -8,11 +8,12 @@ theory.  This module provides a seeded **fault registry**: a list of
 environment variable) that makes specific, reproducible failures fire
 at well-defined injection points inside the kernels:
 
-* ``crash`` — a Scatter :class:`~repro.core.partition.BlockTask` raises
+* ``crash`` — the Scatter of one reduce-plan partition
+  (:class:`~repro.core.kernels.ReducePlan`) raises
   :class:`~repro.errors.InjectedFault` inside the thread pool;
-* ``corrupt`` — one slot of the parallel kernel's bins buffer is
+* ``corrupt`` — one slot of the parallel kernel's message buffer is
   overwritten (NaN by default) between Scatter and Gather;
-* ``stall`` — a Scatter task (``task=``) or a process-pool worker
+* ``stall`` — a partition's Scatter (``task=``) or a process-pool worker
   (``worker=``) sleeps past the dispatch watchdog's deadline;
 * ``fail`` — a named kernel backend raises at dispatch time;
 * ``kill`` — a ``parallel-mp`` pool worker hard-exits mid-dispatch
@@ -45,7 +46,7 @@ Spec grammar (entries separated by ``;``, fields by ``,``)::
     crash:site=update_apply,times=2
     corrupt:site=update_patch
 
-Fields: ``task`` (Scatter task index), ``worker`` (process-pool rank),
+Fields: ``task`` (partition index), ``worker`` (process-pool rank),
 ``kernel`` (backend name), ``site`` (named serve-layer site),
 ``slot`` (bins index), ``call`` (0-based invocation index of the
 site; omitted = every call), ``times`` (max firings, ``-1`` =
@@ -222,7 +223,7 @@ class FaultInjector:
         return call
 
     def task_event(self, task_index: int) -> None:
-        """Scatter-task hook: ``stall`` sleeps, ``crash`` raises."""
+        """Partition Scatter hook: ``stall`` sleeps, ``crash`` raises."""
         with self._lock:
             call = self._parallel_call
         for spec in self.specs:

@@ -42,7 +42,6 @@ from ..core.filtering import FilterPlan
 from ..core.kernels import ReducePlan
 from ..core.mixed_format import MixedGraph
 from ..core.partition import RegularPartition, make_block_tasks
-from ..core.phases import PhaseReducePlan
 from ..errors import ServeError
 from ..frameworks.base import PrepareStats
 from ..frameworks.blocking import BlockLayout
@@ -53,9 +52,19 @@ from ..resilience.checkpoint import state_fingerprint, sweep_tmp_files
 
 #: bump when the artifact schema changes; part of the fingerprint, so
 #: old stores simply miss instead of loading under the wrong schema.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
+
+#: reduce-plan streams persisted per plan prefix (plus optional values).
+_PLAN_STREAMS = (
+    "src",
+    "dst",
+    "run_starts",
+    "run_dst",
+    "part_edge_ptr",
+    "part_run_ptr",
+)
 
 #: layout arrays persisted per fingerprint; optional (value-carrying)
 #: arrays are present only for weighted graphs.
@@ -78,24 +87,11 @@ _REQUIRED_ARRAYS = (
     "lay_dst_gather",
     "lay_scatter_block_ptr",
     "lay_gather_block_ptr",
-    "rp_order",
-    "rp_src",
-    "rp_run_starts",
-    "rp_run_dst",
-    "rp_col_edge_ptr",
-    "rp_col_run_ptr",
-    "push_src",
-    "push_dst",
-    "push_run_starts",
-    "push_run_dst",
-    "push_part_edge_ptr",
-    "push_part_run_ptr",
-    "pull_src",
-    "pull_dst",
-    "pull_run_starts",
-    "pull_run_dst",
-    "pull_part_edge_ptr",
-    "pull_part_run_ptr",
+    *(
+        f"{prefix}_{name}"
+        for prefix in ("rp", "push", "pull")
+        for name in _PLAN_STREAMS
+    ),
 )
 
 
@@ -385,9 +381,6 @@ def pack_engine(engine) -> tuple[dict[str, np.ndarray], dict]:
     plan: FilterPlan = engine.plan
     mixed: MixedGraph = engine.mixed
     layout: BlockLayout = engine.partition.layout
-    rp: ReducePlan = layout.reduce_plan
-    push: PhaseReducePlan = mixed.seed_push_plan
-    pull: PhaseReducePlan = mixed.sink_pull_plan
     arrays: dict[str, np.ndarray] = {
         "perm": plan.perm,
         "inverse": plan.inverse,
@@ -407,32 +400,12 @@ def pack_engine(engine) -> tuple[dict[str, np.ndarray], dict]:
         "lay_dst_gather": layout.dst_gather,
         "lay_scatter_block_ptr": layout.scatter_block_ptr,
         "lay_gather_block_ptr": layout.gather_block_ptr,
-        "rp_order": rp.order,
-        "rp_src": rp.src,
-        "rp_run_starts": rp.run_starts,
-        "rp_run_dst": rp.run_dst,
-        "rp_col_edge_ptr": rp.col_edge_ptr,
-        "rp_col_run_ptr": rp.col_run_ptr,
-        "push_src": push.src,
-        "push_dst": push.dst,
-        "push_run_starts": push.run_starts,
-        "push_run_dst": push.run_dst,
-        "push_part_edge_ptr": push.part_edge_ptr,
-        "push_part_run_ptr": push.part_run_ptr,
-        "pull_src": pull.src,
-        "pull_dst": pull.dst,
-        "pull_run_starts": pull.run_starts,
-        "pull_run_dst": pull.run_dst,
-        "pull_part_edge_ptr": pull.part_edge_ptr,
-        "pull_part_run_ptr": pull.part_run_ptr,
     }
     for name, values in (
         ("rr_values", mixed.rr_values),
         ("s2r_values", mixed.seed_values),
         ("sink_values", mixed.sink_values),
         ("lay_values_scatter", layout.values_scatter),
-        ("push_values", push.values),
-        ("pull_values", pull.values),
     ):
         if values is not None:
             arrays[name] = values
@@ -452,24 +425,50 @@ def pack_engine(engine) -> tuple[dict[str, np.ndarray], dict]:
         "lay_num_nodes": layout.num_nodes,
         "lay_block_nodes": layout.block_nodes,
         "lay_blocks_per_side": layout.num_blocks_per_side,
-        "push_num_rows": push.num_rows,
-        "pull_num_rows": pull.num_rows,
         "balanced": bool(engine.partition.balanced),
         "max_load_factor": float(engine.partition.max_load_factor),
         "bin_raw": int(engine.bin_stats.raw_messages),
         "bin_compressed": int(engine.bin_stats.compressed_messages),
     }
+    for prefix, reduce_plan in (
+        ("rp", layout.reduce_plan),
+        ("push", mixed.seed_push_plan),
+        ("pull", mixed.sink_pull_plan),
+    ):
+        _pack_plan(reduce_plan, prefix, arrays, meta)
     return arrays, meta
+
+
+def _pack_plan(plan: ReducePlan, prefix: str, arrays: dict, meta: dict):
+    """Add one reduce plan's streams to the store artifacts."""
+    for name in (*_PLAN_STREAMS, "values"):
+        value = getattr(plan, name)
+        if value is not None:
+            arrays[f"{prefix}_{name}"] = value
+    meta[f"{prefix}_name"] = plan.name
+    meta[f"{prefix}_num_rows"] = plan.num_rows
+
+
+def _install_plan(arrays: dict, meta: dict, prefix: str) -> ReducePlan:
+    """Rebuild one reduce plan from its store artifacts (no sort)."""
+    return ReducePlan(
+        name=meta[f"{prefix}_name"],
+        num_rows=int(meta[f"{prefix}_num_rows"]),
+        **{
+            name: arrays.get(f"{prefix}_{name}")
+            for name in (*_PLAN_STREAMS, "values")
+        },
+    )
 
 
 def install_layout(engine, arrays: dict, meta: dict) -> None:
     """Rebuild a :class:`MixenEngine`'s prepared structures from store
     artifacts *without re-running any O(m log m) sort*.
 
-    Only the cheap task list, the O(m) race proofs and the layout
+    Only the cheap task list, the O(m) plan proofs and the layout
     certificate are recomputed — exactly the non-sort tail of
-    ``_prepare()`` — and the cached reduce/phase plans are installed via
-    the ``cached_property`` instance dict, so frozen dataclasses stay
+    ``_prepare()`` — and the cached reduce plans are installed via the
+    ``cached_property`` instance dict, so frozen dataclasses stay
     frozen.
     """
     classes = ConnectivityClasses(
@@ -515,12 +514,8 @@ def install_layout(engine, arrays: dict, meta: dict) -> None:
         seed_values=arrays.get("s2r_values"),
         sink_values=arrays.get("sink_values"),
     )
-    mixed.__dict__["seed_push_plan"] = _install_phase_plan(
-        "seed-push", int(meta["push_num_rows"]), arrays, "push"
-    )
-    mixed.__dict__["sink_pull_plan"] = _install_phase_plan(
-        "sink-pull", int(meta["pull_num_rows"]), arrays, "pull"
-    )
+    mixed.__dict__["seed_push_plan"] = _install_plan(arrays, meta, "push")
+    mixed.__dict__["sink_pull_plan"] = _install_plan(arrays, meta, "pull")
     layout = BlockLayout(
         num_nodes=int(meta["lay_num_nodes"]),
         block_nodes=int(meta["lay_block_nodes"]),
@@ -534,20 +529,7 @@ def install_layout(engine, arrays: dict, meta: dict) -> None:
         gather_block_ptr=arrays["lay_gather_block_ptr"],
         values_scatter=arrays.get("lay_values_scatter"),
     )
-    values_scatter = arrays.get("lay_values_scatter")
-    layout.__dict__["reduce_plan"] = ReducePlan(
-        order=arrays["rp_order"],
-        src=arrays["rp_src"],
-        run_starts=arrays["rp_run_starts"],
-        run_dst=arrays["rp_run_dst"],
-        col_edge_ptr=arrays["rp_col_edge_ptr"],
-        col_run_ptr=arrays["rp_col_run_ptr"],
-        values=(
-            None
-            if values_scatter is None
-            else np.asarray(values_scatter)[arrays["rp_order"]]
-        ),
-    )
+    layout.__dict__["reduce_plan"] = _install_plan(arrays, meta, "rp")
     balanced = bool(meta["balanced"])
     max_load_factor = float(meta["max_load_factor"])
     tasks = make_block_tasks(
@@ -555,40 +537,13 @@ def install_layout(engine, arrays: dict, meta: dict) -> None:
     )
     partition = RegularPartition(layout, tasks, balanced, max_load_factor)
 
-    from ..analysis.certify import certify_layout
-    from ..analysis.races import prove_schedule
-
     engine.plan = plan
     engine.mixed = mixed
     engine.partition = partition
     engine.bin_stats = DynamicBinStats(
         int(meta["bin_raw"]), int(meta["bin_compressed"])
     )
-    engine.race_proof = prove_schedule(layout, tasks)
-    engine.certificate = certify_layout(
-        layout, engine.kernel, tasks=tasks, structure="mixen-main",
-        proof=engine.race_proof,
-    )
-
-
-def _install_phase_plan(
-    name: str, num_rows: int, arrays: dict, prefix: str
-) -> PhaseReducePlan:
-    plan = PhaseReducePlan(
-        name=name,
-        num_rows=num_rows,
-        src=arrays[f"{prefix}_src"],
-        dst=arrays[f"{prefix}_dst"],
-        run_starts=arrays[f"{prefix}_run_starts"],
-        run_dst=arrays[f"{prefix}_run_dst"],
-        part_edge_ptr=arrays[f"{prefix}_part_edge_ptr"],
-        part_run_ptr=arrays[f"{prefix}_part_run_ptr"],
-        values=arrays.get(f"{prefix}_values"),
-    )
-    from ..analysis.races import prove_phase_plan
-
-    object.__setattr__(plan, "race_proof", prove_phase_plan(plan))
-    return plan
+    engine._prove_plans()
 
 
 def boot_engine(

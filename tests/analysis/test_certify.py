@@ -15,7 +15,7 @@ from repro.analysis.certify import (
     ProveReport,
     build_certificates,
     certify_layout,
-    certify_phase_plan,
+    certify_plan,
     check_exit_codes,
     check_fault_registry,
     check_state_registry,
@@ -47,21 +47,15 @@ def prepared(graph):
 class TestCertificate:
     def test_id_is_deterministic(self, prepared):
         mixed, partition = prepared
-        a = certify_layout(
-            partition.layout, "parallel", tasks=partition.tasks
-        )
-        b = certify_layout(
-            partition.layout, "parallel", tasks=partition.tasks
-        )
+        a = certify_layout(partition.layout, "parallel")
+        b = certify_layout(partition.layout, "parallel")
         assert a.certificate_id == b.certificate_id
         assert a.fingerprint == b.fingerprint
 
     def test_id_depends_on_backend(self, prepared):
         mixed, partition = prepared
         ids = {
-            certify_layout(
-                partition.layout, backend, tasks=partition.tasks
-            ).certificate_id
+            certify_layout(partition.layout, backend).certificate_id
             for backend in CERTIFIED_BACKENDS
         }
         assert len(ids) == len(CERTIFIED_BACKENDS)
@@ -70,9 +64,7 @@ class TestCertificate:
         """Evidence reloaded from the ledger (tuples become lists) must
         reproduce the same certificate id."""
         mixed, partition = prepared
-        cert = certify_layout(
-            partition.layout, "bincount", tasks=partition.tasks
-        )
+        cert = certify_layout(partition.layout, "bincount")
         roundtripped = Certificate(
             kind=cert.kind,
             structure=cert.structure,
@@ -83,22 +75,23 @@ class TestCertificate:
         assert roundtripped.certificate_id == cert.certificate_id
 
     def test_mp_certificate_proves_both_bases(self, prepared):
+        # One plan proof covers every rung and both accumulation bases:
+        # the mp certificate carries the same evidence as the serial one.
         mixed, partition = prepared
-        cert = certify_layout(
-            partition.layout, "parallel-mp", tasks=partition.tasks
-        )
-        assert set(cert.evidence) == {"bincount", "reduceat"}
-        for base in ("bincount", "reduceat"):
-            assert cert.evidence[base]["proof"] == "MPScheduleProof"
+        mp = certify_layout(partition.layout, "parallel-mp")
+        serial = certify_layout(partition.layout, "bincount")
+        assert mp.evidence["proof"] == "PlanProof"
+        assert mp.evidence == serial.evidence
+        assert mp.certificate_id != serial.certificate_id
 
     def test_phase_plan_certificates(self, prepared):
         mixed, _ = prepared
-        serial = certify_phase_plan(mixed.seed_push_plan, "bincount")
-        mp = certify_phase_plan(mixed.seed_push_plan, "parallel-mp")
-        assert serial.kind == "phase-plan"
+        serial = certify_plan(mixed.seed_push_plan, "bincount")
+        mp = certify_plan(mixed.seed_push_plan, "parallel-mp")
+        assert serial.kind == "reduce-plan"
         assert serial.structure == "seed-push"
-        assert serial.evidence["proof"] == "PhasePlanProof"
-        assert mp.evidence["proof"] == "MPScheduleProof"
+        assert serial.evidence["proof"] == "PlanProof"
+        assert mp.evidence == serial.evidence
         assert serial.fingerprint == mp.fingerprint
         assert serial.certificate_id != mp.certificate_id
 
@@ -109,12 +102,11 @@ class TestCertificate:
         from repro.analysis.races import prove_schedule
 
         _, partition = prepared
-        layout, tasks = partition.layout, partition.tasks
+        layout = partition.layout
         derived = certify_layout(
-            layout, backend, tasks=tasks,
-            proof=prove_schedule(layout, tasks),
+            layout, backend, proof=prove_schedule(layout.reduce_plan)
         )
-        fresh = certify_layout(layout, backend, tasks=tasks)
+        fresh = certify_layout(layout, backend)
         assert derived.certificate_id == fresh.certificate_id
 
     @pytest.mark.parametrize("engine_name", ("mixen", "block"))
@@ -127,30 +119,33 @@ class TestCertificate:
         calls = []
         original = races.prove_schedule
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("bases"))
-            return original(*args, **kwargs)
+        def counting(plan):
+            calls.append(plan.name)
+            return original(plan)
 
         monkeypatch.setattr(races, "prove_schedule", counting)
         engine = make_engine(engine_name, graph)
         engine.prepare()
-        assert len(calls) == 1
-        assert engine.certificate.evidence["bases"] == ["reduceat"]
+        # Each plan a run dispatches is proved exactly once; the
+        # certificate reuses the Main-Phase proof.
+        expected = (
+            ["main", "seed-push", "sink-pull"]
+            if engine_name == "mixen"
+            else ["main"]
+        )
+        assert calls == expected
+        assert engine.certificate.evidence["proof"] == "PlanProof"
 
     def test_version_stamped(self, prepared):
         mixed, partition = prepared
-        cert = certify_layout(
-            partition.layout, "bincount", tasks=partition.tasks
-        )
+        cert = certify_layout(partition.layout, "bincount")
         assert cert.version == CERTIFICATE_VERSION
 
 
 class TestLedger:
     def _any_cert(self, prepared):
         _, partition = prepared
-        return certify_layout(
-            partition.layout, "bincount", tasks=partition.tasks
-        )
+        return certify_layout(partition.layout, "bincount")
 
     def test_roundtrip(self, prepared, tmp_path):
         cert = self._any_cert(prepared)

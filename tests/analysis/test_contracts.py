@@ -179,7 +179,17 @@ class TestCheckLayout:
         assert any(c.name == "race-replay" for c in report.checks)
 
     def test_failed_proof_is_reported_not_raised(self, layout):
-        report = check_layout(layout, tasks=[(0, 1)])
+        from dataclasses import replace
+
+        # One partition claiming only the first message: the rest are
+        # owned by no partition.
+        tampered = replace(layout)
+        tampered.__dict__["reduce_plan"] = replace(
+            layout.reduce_plan,
+            part_edge_ptr=np.array([0, 1]),
+            part_run_ptr=np.array([0, 1]),
+        )
+        report = check_layout(tampered)
         assert not report.ok
         assert any(
             not c.passed and c.name == "race-proof"
@@ -247,4 +257,4 @@ class TestEngineValidateFlag:
         g = load_dataset("wiki", scale=0.25)
         e = BlockingEngine(g, validate=True, race_check=True)
         e.prepare()
-        assert e.race_proof.num_scatter_tasks == len(e.tasks)
+        assert e.race_proof.num_partitions == e.layout.num_blocks_per_side

@@ -1,31 +1,28 @@
 """Unit tests for the race-freedom prover (`repro.analysis.races`).
 
-The adversarial cases hand-build overlapping or gappy task plans and
-assert the prover raises a structured RaceError naming the right task
-pair; the positive cases prove every shipped plan race-free.
+The adversarial cases hand-tamper a reduce plan — overlapping or gappy
+partitions, split runs, escaping destinations — and assert the one
+prover raises a structured RaceError naming the right partition pair or
+range; the positive cases prove every shipped plan race-free.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.analysis.races import (
-    prove_mp_reduce,
     AccessInterval,
     TaskAccess,
-    dynamic_race_check,
-    ensure_layout_checked,
-    gather_accesses,
+    ensure_plan_checked,
     prove_disjoint,
     prove_schedule,
     race_check_enabled,
-    scatter_accesses,
+    replay_plan,
 )
 from repro.core import MixenEngine
-from repro.core.partition import (
-    BlockTask,
-    make_block_tasks,
-    partition_regular,
-)
+from repro.core.kernels import build_plan
+from repro.core.phases import build_push_plan
 from repro.errors import RaceError
 from repro.frameworks.blocking import build_block_layout
 from repro.graphs import load_dataset
@@ -40,47 +37,63 @@ def layout():
     )
 
 
+@pytest.fixture(scope="module")
+def plan(layout):
+    return layout.reduce_plan
+
+
+def small_plan(**changes):
+    """Nine messages into six rows, two partitions of two runs each:
+    partition 0 writes rows [0, 3), partition 1 rows [3, 6)."""
+    base = build_plan(
+        "t",
+        6,
+        src=np.arange(9),
+        dst=np.array([0, 0, 2, 2, 2, 3, 3, 5, 5]),
+        row_bounds=np.array([0, 3, 6]),
+    )
+    return replace(base, **changes)
+
+
 class TestShippedPlansAreRaceFree:
-    def test_default_scatter_plan(self, layout):
-        proof = prove_schedule(layout)
-        assert proof.num_scatter_tasks > 0
+    def test_default_scatter_plan(self, layout, plan):
+        proof = prove_schedule(plan)
+        assert proof.num_partitions == layout.num_blocks_per_side
+        assert proof.num_messages == layout.num_edges
         assert "race-free" in proof.describe()
 
-    def test_make_block_tasks_plan(self, layout):
-        tasks = make_block_tasks(layout)
-        proof = prove_schedule(layout, tasks)
-        assert proof.num_scatter_tasks == len(tasks)
-
-    @pytest.mark.parametrize(
-        "bases", (("bincount",), ("reduceat",), ("bincount", "reduceat"))
-    )
-    def test_restricted_proof_equals_a_fresh_proof(self, layout, bases):
-        tasks = make_block_tasks(layout)
-        full = prove_schedule(layout, tasks)
-        assert full.restricted(bases) == prove_schedule(
-            layout, tasks, bases=bases
+    def test_make_block_tasks_plan(self, layout, plan):
+        # The Main-Phase partitions are the layout's block-columns.
+        b = layout.num_blocks_per_side
+        assert np.array_equal(
+            plan.part_edge_ptr, layout.gather_block_ptr[:: b]
         )
 
-    def test_restriction_beyond_the_proved_bases_raises(self, layout):
-        proof = prove_schedule(layout, bases=("reduceat",))
-        with pytest.raises(RaceError, match="does not cover"):
-            proof.restricted(("bincount",))
-
     def test_split_tasks_stay_race_free(self, layout):
-        # Aggressive balancing splits blocks into sub-slices; slices of
-        # the same block still must not overlap.
-        tasks = make_block_tasks(layout, max_load_factor=1.01)
-        assert len(tasks) > len(make_block_tasks(layout))
-        prove_schedule(layout, tasks)
+        # Cutting the same stream into many more partitions keeps every
+        # cut on a run boundary.
+        few = build_plan(
+            "few", layout.num_nodes, layout.src_scatter,
+            layout.dst_scatter, max_parts=2,
+        )
+        many = build_plan(
+            "many", layout.num_nodes, layout.src_scatter,
+            layout.dst_scatter, max_parts=64,
+        )
+        assert many.num_partitions > few.num_partitions
+        prove_schedule(few)
+        prove_schedule(many)
 
     def test_partition_regular_plans(self):
         g = load_dataset("weibo", scale=0.5)
         e = MixenEngine(g, block_nodes=64)
         e.prepare()
         # prepare() itself ran the proof; re-run explicitly too.
-        proof = prove_schedule(e.partition.layout, e.partition.tasks)
-        assert proof.num_edges == e.partition.layout.num_edges
-        assert e.race_proof.num_scatter_tasks == len(e.partition.tasks)
+        lay = e.partition.layout
+        proof = prove_schedule(lay.reduce_plan)
+        assert proof.num_messages == lay.num_edges
+        assert e.race_proof == proof
+        assert e.race_proof.num_partitions == lay.num_blocks_per_side
 
     def test_every_dataset_blocking(self):
         for name in ("wiki", "road"):
@@ -89,87 +102,66 @@ class TestShippedPlansAreRaceFree:
             lay = build_block_layout(
                 csr.row_ids(), csr.indices, g.num_nodes, 200
             )
-            prove_schedule(lay, make_block_tasks(lay))
+            prove_schedule(lay.reduce_plan)
 
-    def test_dynamic_check_agrees(self, layout):
-        result = dynamic_race_check(layout, make_block_tasks(layout))
-        assert result.touched_bins == layout.num_edges
-        assert "inside the static proof" in result.describe()
+    def test_dynamic_check_agrees(self, plan):
+        assert replay_plan(plan) == prove_schedule(plan)
 
 
 class TestAdversarialPlans:
-    def test_overlapping_tuple_tasks_raise(self, layout):
-        m = layout.num_edges
+    def test_overlapping_tuple_tasks_raise(self, plan):
+        m = plan.num_messages
+        ep = np.array([0, 10, 5, m])
+        rp = np.array([0, 1, 1, plan.num_runs])
         with pytest.raises(RaceError) as exc_info:
-            prove_schedule(layout, [(0, 10), (5, m)])
+            prove_schedule(
+                replace(plan, part_edge_ptr=ep, part_run_ptr=rp)
+            )
         err = exc_info.value
-        assert err.task_a == "scatter[0]"
-        assert err.task_b == "scatter[1]"
-        assert err.array == "bins"
+        assert err.task_a == "main[0]"
+        assert err.task_b == "main[2]"
+        assert err.array == "msgs"
         assert err.overlap == (5, 10)
 
-    def test_overlapping_block_tasks_name_the_pair(self, layout):
-        tasks = list(make_block_tasks(layout))
-        victim = max(tasks, key=lambda t: t.load)
-        k = tasks.index(victim)
-        # A second task claiming the tail of the victim's slice.
-        dup = BlockTask(
-            victim.block_id, victim.end - 1, victim.end
-        )
+    def test_overlapping_block_tasks_name_the_pair(self):
+        # Partition 1's first destination lands inside partition 0's
+        # rows: the row intervals [0, 4) and [2, 6) overlap.
+        tampered = small_plan(run_dst=np.array([0, 3, 2, 5]))
         with pytest.raises(RaceError) as exc_info:
-            prove_schedule(layout, tasks[: k + 1] + [dup] + tasks[k + 1:])
+            prove_schedule(tampered)
         err = exc_info.value
-        assert err.array == "bins"
-        assert err.overlap == (victim.end - 1, victim.end)
-        assert f"block {victim.block_id}" in (err.task_a or "")
-        assert f"block {victim.block_id}" in (err.task_b or "")
+        assert err.array == "y"
+        assert err.overlap == (2, 4)
+        assert {err.task_a, err.task_b} == {"t[0]", "t[1]"}
 
-    def test_gap_in_bins_coverage_raises(self, layout):
-        m = layout.num_edges
+    def test_gap_in_bins_coverage_raises(self):
+        tampered = small_plan(part_edge_ptr=np.array([2, 5, 9]))
         with pytest.raises(RaceError) as exc_info:
-            prove_schedule(layout, [(0, 10), (12, m)])
-        assert exc_info.value.overlap == (10, 12)
+            prove_schedule(tampered)
+        assert exc_info.value.overlap == (0, 2)
 
-    def test_missing_tail_coverage_raises(self, layout):
-        m = layout.num_edges
+    def test_missing_tail_coverage_raises(self):
+        tampered = small_plan(part_edge_ptr=np.array([0, 5, 6]))
         with pytest.raises(RaceError) as exc_info:
-            prove_schedule(layout, [(0, m - 3)])
-        assert exc_info.value.overlap == (m - 3, m)
+            prove_schedule(tampered)
+        assert exc_info.value.overlap == (6, 9)
 
-    def test_slice_outside_edge_range_raises(self, layout):
-        m = layout.num_edges
-        with pytest.raises(RaceError):
-            prove_schedule(layout, [(0, m + 5)])
+    def test_slice_outside_edge_range_raises(self):
+        with pytest.raises(RaceError, match="outside"):
+            prove_schedule(small_plan(part_edge_ptr=np.array([0, 5, 14])))
 
-    def test_task_escaping_its_block_raises(self, layout):
-        tasks = list(make_block_tasks(layout))
-        ptr = layout.scatter_block_ptr
-        # A task ending exactly at its block boundary, not at the
-        # global edge tail, so end+1 escapes the block but stays in
-        # range.
-        victim = next(
-            t
-            for t in tasks
-            if t.end == int(ptr[t.block_id + 1])
-            and t.end < layout.num_edges
-        )
-        k = tasks.index(victim)
-        tasks[k] = BlockTask(
-            victim.block_id, victim.start, victim.end + 1
-        )
+    def test_task_escaping_its_block_raises(self):
+        # Move the cut one message into partition 1's first run.
+        tampered = small_plan(part_edge_ptr=np.array([0, 6, 9]))
         with pytest.raises(RaceError) as exc_info:
-            scatter_accesses(layout, tasks)
-        assert "escapes" in str(exc_info.value)
+            prove_schedule(tampered)
+        assert "splits" in str(exc_info.value)
 
-    def test_bogus_block_id_raises(self, layout):
-        with pytest.raises(RaceError):
-            scatter_accesses(
-                layout, [BlockTask(10**6, 0, layout.num_edges)]
+    def test_bogus_block_id_raises(self):
+        with pytest.raises(RaceError, match="outside"):
+            prove_schedule(
+                small_plan(part_run_ptr=np.array([0, 2, 10**6]))
             )
-
-    def test_unknown_gather_base_raises(self, layout):
-        with pytest.raises(RaceError):
-            gather_accesses(layout, base="gpu")
 
 
 class TestProveDisjoint:
@@ -232,36 +224,23 @@ class TestProveDisjoint:
 
 
 class TestDynamicCheck:
-    def test_catches_tampered_gather_perm(self, layout):
-        # Duplicate one gather slot: the static intervals still look
-        # fine, only the instrumented replay sees the stale read.
-        perm = layout.gather_perm.copy()
-        if perm.size < 2:
-            pytest.skip("layout too small")
-        perm[0] = perm[1]
-        tampered = type(layout)(
-            num_nodes=layout.num_nodes,
-            block_nodes=layout.block_nodes,
-            num_blocks_per_side=layout.num_blocks_per_side,
-            src_scatter=layout.src_scatter,
-            dst_scatter=layout.dst_scatter,
-            gather_perm=perm,
-            src_gather=layout.src_gather,
-            dst_gather=layout.dst_gather,
-            scatter_block_ptr=layout.scatter_block_ptr,
-            gather_block_ptr=layout.gather_block_ptr,
-        )
+    def test_catches_tampered_gather_perm(self, plan):
+        # Duplicate one destination slot of the reduce stream.
+        dst = plan.dst.copy()
+        if dst.size < 2 or dst[0] == dst[-1]:
+            pytest.skip("plan too small")
+        dst[0] = dst[-1]
         with pytest.raises(RaceError):
-            dynamic_race_check(tampered)
+            replay_plan(replace(plan, dst=dst))
 
     def test_empty_layout(self):
         lay = build_block_layout(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
             4, 2,
         )
-        proof = prove_schedule(lay)
-        assert proof.num_edges == 0
-        dynamic_race_check(lay)
+        proof = prove_schedule(lay.reduce_plan)
+        assert proof.num_messages == 0
+        replay_plan(lay.reduce_plan)
 
 
 class TestEnvToggle:
@@ -275,20 +254,16 @@ class TestEnvToggle:
         monkeypatch.delenv("REPRO_RACE_CHECK")
         assert race_check_enabled() is False
 
-    def test_ensure_layout_checked_caches(self, layout, monkeypatch):
+    def test_ensure_layout_checked_caches(self, plan, monkeypatch):
         calls = []
         import repro.analysis.races as races
 
-        monkeypatch.setattr(
-            races,
-            "dynamic_race_check",
-            lambda lay, tasks=None: calls.append(lay),
-        )
-        races._checked_layouts.clear()
-        ensure_layout_checked(layout)
-        ensure_layout_checked(layout)
-        assert len(calls) == 1
-        races._checked_layouts.clear()
+        monkeypatch.setattr(races, "replay_plan", calls.append)
+        races._checked_plans.clear()
+        ensure_plan_checked(plan)
+        ensure_plan_checked(plan)
+        assert calls == [plan]
+        races._checked_plans.clear()
 
     def test_engine_race_check_flag_runs_replay(self):
         g = load_dataset("wiki", scale=0.25)
@@ -298,81 +273,83 @@ class TestEnvToggle:
 
 
 class TestProveMPReduce:
-    """The process-pool schedule prover (`prove_mp_reduce`)."""
-
-    @staticmethod
-    def table(rows):
-        return np.asarray(rows, dtype=np.int64).reshape(-1, 6)
+    """The process-pool task table is the plan's partition table, so
+    the one prover covers what the pool ships."""
 
     def test_valid_bincount_style_table(self):
-        tasks = self.table(
-            [(0, 4, 0, 0, 0, 2), (4, 10, 0, 0, 2, 5)]
-        )
-        dst = np.array([0, 1, 1, 0, 2, 3, 3, 4, 4, 2])
-        proof = prove_mp_reduce("t", tasks, 5, 10, dst=dst)
-        assert proof.num_tasks == 2
-        assert "process-disjoint" in proof.describe()
+        from repro.parallel.procpool import plan_tasks
+
+        plan = small_plan()
+        proof = prove_schedule(plan)
+        assert proof.num_partitions == 2
+        assert plan_tasks(plan).tolist() == [[0, 5, 0, 2], [5, 9, 2, 4]]
 
     def test_valid_reduceat_style_table(self):
-        tasks = self.table(
-            [(0, 5, 0, 2, 0, 3), (5, 9, 2, 4, 3, 6)]
+        from repro.parallel.procpool import plan_tasks
+
+        # An empty middle partition proves and is dropped from the
+        # shipped table.
+        plan = small_plan(
+            part_edge_ptr=np.array([0, 5, 5, 9]),
+            part_run_ptr=np.array([0, 2, 2, 4]),
         )
-        run_dst = np.array([0, 2, 3, 5])
-        proof = prove_mp_reduce("t", tasks, 6, 9, run_dst=run_dst)
-        assert proof.num_tasks == 2
+        assert prove_schedule(plan).num_partitions == 3
+        assert plan_tasks(plan).shape == (2, 4)
 
     def test_overlapping_rows_raise(self):
-        tasks = self.table(
-            [(0, 4, 0, 0, 0, 3), (4, 8, 0, 0, 2, 5)]
-        )
         with pytest.raises(RaceError, match="write-write race"):
-            prove_mp_reduce("t", tasks, 5, 8)
+            prove_schedule(small_plan(run_dst=np.array([0, 3, 2, 5])))
 
     def test_overlapping_edge_slices_raise(self):
-        tasks = self.table(
-            [(0, 5, 0, 0, 0, 2), (3, 8, 0, 0, 2, 5)]
-        )
         with pytest.raises(RaceError, match="write-write race"):
-            prove_mp_reduce("t", tasks, 5, 8)
+            prove_schedule(
+                small_plan(
+                    part_edge_ptr=np.array([0, 7, 5, 9]),
+                    part_run_ptr=np.array([0, 2, 2, 4]),
+                )
+            )
 
     def test_message_gap_raises(self):
-        tasks = self.table(
-            [(0, 4, 0, 0, 0, 2), (6, 10, 0, 0, 2, 5)]
-        )
-        with pytest.raises(RaceError, match="owned by no task"):
-            prove_mp_reduce("t", tasks, 5, 10)
+        with pytest.raises(RaceError, match="owned by no partition"):
+            prove_schedule(small_plan(part_edge_ptr=np.array([0, 5, 7])))
 
     def test_escaping_dst_raises(self):
-        tasks = self.table([(0, 4, 0, 0, 0, 2)])
-        dst = np.array([0, 1, 2, 1])  # 2 escapes rows [0, 2)
-        with pytest.raises(RaceError, match="escape"):
-            prove_mp_reduce("t", tasks, 5, 4, dst=dst)
+        dst = np.array([0, 0, 2, 2, 3, 3, 3, 5, 5])
+        with pytest.raises(RaceError, match="dst stream"):
+            prove_schedule(small_plan(dst=dst))
 
     def test_escaping_run_dst_raises(self):
-        tasks = self.table([(0, 4, 0, 2, 0, 2)])
-        run_dst = np.array([0, 2])  # 2 escapes rows [0, 2)
-        with pytest.raises(RaceError, match="escape"):
-            prove_mp_reduce("t", tasks, 5, 4, run_dst=run_dst)
+        with pytest.raises(RaceError, match="inside"):
+            prove_schedule(small_plan(run_dst=np.array([0, 2, 3, 6])))
 
     def test_out_of_range_claims_raise(self):
         with pytest.raises(RaceError, match="outside"):
-            prove_mp_reduce(
-                "t", self.table([(0, 12, 0, 0, 0, 2)]), 5, 10
-            )
+            prove_schedule(small_plan(part_edge_ptr=np.array([0, 5, 12])))
         with pytest.raises(RaceError, match="outside"):
-            prove_mp_reduce(
-                "t", self.table([(0, 4, 0, 0, 3, 9)]), 5, 4
-            )
+            prove_schedule(small_plan(part_run_ptr=np.array([0, 2, 9])))
 
     def test_runs_without_run_table_raise(self):
-        tasks = self.table([(0, 4, 0, 2, 0, 2)])
-        with pytest.raises(RaceError, match="no run table"):
-            prove_mp_reduce("t", tasks, 5, 4)
+        empty = np.empty(0, dtype=np.int64)
+        tampered = small_plan(
+            run_starts=empty,
+            run_dst=empty,
+            part_run_ptr=np.zeros(3, dtype=np.int64),
+        )
+        with pytest.raises(RaceError, match="no runs"):
+            prove_schedule(tampered)
 
-    def test_shipped_layout_plans_prove(self, layout):
+    def test_shipped_layout_plans_prove(self, plan):
         from repro.parallel import procpool
 
-        for base in ("bincount", "reduceat"):
-            plan = procpool.ensure_layout_plan(layout, base)
-            assert plan.proof.num_messages == layout.num_edges
-        procpool.cleanup()
+        try:
+            shm_plan = procpool.ensure_plan(plan)
+            assert shm_plan.num_messages == plan.num_messages
+            assert shm_plan.num_tasks == procpool.plan_tasks(plan).shape[0]
+        finally:
+            procpool.cleanup()
+
+
+def test_phase_plans_prove_and_replay():
+    g = load_dataset("weibo", scale=0.5)
+    plan = build_push_plan(g.csr, max_parts=8, name="push")
+    assert replay_plan(plan).num_partitions == plan.num_partitions

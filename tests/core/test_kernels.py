@@ -1,4 +1,4 @@
-"""Property tests for the SpMV kernel dispatch layer.
+"""Property tests for the reduce dispatch layer on the Main-Phase plan.
 
 Contracts verified across random skewed graphs:
 
@@ -9,8 +9,10 @@ Contracts verified across random skewed graphs:
 * all three backends are bit-identical on integer-valued inputs, where
   float addition is exact under any association order; on arbitrary
   floats, bincount vs reduceat agree to summation-order rounding;
-* empty-graph / single-block edge cases, ``auto`` resolution, backend
-  registration, and the reduceat-by-default engines.
+* the bincount base over the reduce-ordered plan equals the legacy
+  gather-order bincount bit for bit;
+* empty-graph / single-block edge cases, ``auto`` resolution, and the
+  reduceat-by-default engines.
 """
 
 import numpy as np
@@ -23,18 +25,55 @@ from repro.core import MixenEngine
 from repro.core.kernels import (
     KERNEL_NAMES,
     KERNELS,
-    register_kernel,
+    reduce,
+    reduce_bincount,
+    reduce_parallel,
+    reduce_reduceat,
     resolve_kernel,
-    spmv,
-    spmv_bincount,
-    spmv_parallel,
-    spmv_reduceat,
 )
 from repro.errors import EngineError
 from repro.frameworks.blocking import BlockingEngine, build_block_layout
 from repro.graphs import EdgeList, Graph
 
+
+def spmv(layout, x, **options):
+    """One Main-Phase propagation through the dispatcher."""
+    return reduce(layout.reduce_plan, x, **options)
+
+
+def spmv_bincount(layout, x, static=None):
+    return reduce_bincount(layout.reduce_plan, x, static=static)
+
+
+def spmv_reduceat(layout, x, static=None):
+    return reduce_reduceat(layout.reduce_plan, x, static=static)
+
+
 SERIAL = {"bincount": spmv_bincount, "reduceat": spmv_reduceat}
+
+
+def legacy_gather_bincount(layout, x, static=None):
+    """The Main-Phase bincount as it ran before the one plan: scatter
+    into the bins, stream them in gather order, one bincount."""
+    x = np.asarray(x, dtype=np.float64)
+    bins = x[layout.src_scatter]
+    if layout.values_scatter is not None:
+        w = layout.values_scatter
+        bins = bins * (w if bins.ndim == 1 else w[:, None])
+    msgs = bins[layout.gather_perm]
+    n = layout.num_nodes
+    if x.ndim == 1:
+        y = np.bincount(layout.dst_gather, weights=msgs, minlength=n)
+    else:
+        k = x.shape[1]
+        flat = layout.dst_gather[:, None] * k + np.arange(k)
+        y = np.bincount(
+            flat.ravel(), weights=msgs.ravel(), minlength=n * k
+        ).reshape(n, k)
+    y = y.astype(np.float64)
+    if static is not None:
+        y += static
+    return y
 
 
 def skewed_edges(rng, n, m):
@@ -86,17 +125,36 @@ class TestKernelEquivalence:
     @given(layout_cases(), st.sampled_from((None, 2)), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_serial_parallel_bit_identical(self, case, rank, with_static):
+        # The pool base follows the input's rank: bincount for 1-D,
+        # reduceat for rank-k.
         layout, _, _, _, rng = case
         n = layout.num_nodes
         x = rng.random(n) if rank is None else rng.random((n, rank))
         static = rng.random(x.shape) if with_static else None
-        for base, serial in SERIAL.items():
-            threaded = spmv_parallel(
-                layout, x, static=static, max_workers=3, base=base
-            )
-            assert np.array_equal(
-                serial(layout, x, static=static), threaded
-            ), base
+        serial = SERIAL["bincount" if rank is None else "reduceat"]
+        threaded = reduce_parallel(
+            layout.reduce_plan, x, static=static, max_workers=3
+        )
+        assert np.array_equal(serial(layout, x, static=static), threaded)
+
+    @given(
+        layout_cases(), st.sampled_from((None, 1, 3)), st.booleans()
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bincount_base_matches_legacy_gather_order(
+        self, case, rank, with_static
+    ):
+        # The stable sort on destination keeps each destination's
+        # messages in (block-row, source) order, which is the gather
+        # permutation's order: the plan's bincount is the legacy one.
+        layout, _, _, _, rng = case
+        n = layout.num_nodes
+        x = rng.random(n) if rank is None else rng.random((n, rank))
+        static = rng.random(x.shape) if with_static else None
+        assert np.array_equal(
+            spmv_bincount(layout, x, static=static),
+            legacy_gather_bincount(layout, x, static=static),
+        )
 
     @given(layout_cases(), st.sampled_from((None, 2)))
     @settings(max_examples=60, deadline=None)
@@ -224,27 +282,10 @@ class TestDispatch:
             spmv(layout, x, kernel="auto"), spmv_reduceat(layout, x)
         )
 
-    def test_register_custom_backend(self):
-        def doubled(layout, x, *, static=None, max_workers=None,
-                    scatter_tasks=None):
-            return 2.0 * spmv_bincount(layout, x, static=static)
-
-        register_kernel("doubled", doubled)
-        try:
-            rng = np.random.default_rng(5)
-            src, dst = skewed_edges(rng, 10, 40)
-            layout = build_block_layout(src, dst, 10, 4)
-            x = rng.random(10)
-            assert np.array_equal(
-                spmv(layout, x, kernel="doubled"),
-                2.0 * spmv_bincount(layout, x),
-            )
-        finally:
-            KERNELS.pop("doubled")
-
     def test_auto_is_not_registrable(self):
-        with pytest.raises(EngineError, match="reserved"):
-            register_kernel("auto", lambda *a, **k: None)
+        # auto is reserved for the resolver: never a backend of its own.
+        assert "auto" not in KERNELS
+        assert resolve_kernel("auto") in KERNELS
 
 
 class TestParallelByDefaultEngines:

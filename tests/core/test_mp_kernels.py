@@ -1,11 +1,12 @@
 """Bit-identity property suite for the process-pool backend.
 
 ``parallel-mp`` promises the *same bits* as the serial accumulation
-bases: each worker fuses Scatter+Gather per task with the base's exact
-per-destination addend order, so process fan-out must be invisible in
-the output. Verified here across random skewed layouts and phase plans
-(rank-1 and rank-8, weighted and not, adversarial partition counts),
-and end-to-end through both engines.
+bases (bincount for 1-D inputs, reduceat for rank-k): each worker fuses
+Scatter+Gather per plan partition with the base's exact per-destination
+addend order, so process fan-out must be invisible in the output.
+Verified here across random skewed Main-Phase and phase plans (rank-1
+and rank-8, weighted and not, adversarial partition counts), and
+end-to-end through both engines.
 
 The host may expose a single CPU, so every dispatch passes an explicit
 ``max_workers=2`` to keep the serial short-circuit from hiding the
@@ -19,30 +20,23 @@ from hypothesis import strategies as st
 
 from repro.algorithms import PageRank
 from repro.core import MixenEngine
-from repro.core.kernels import (
-    spmv,
-    spmv_bincount,
-    spmv_parallel_mp,
-    spmv_reduceat,
-)
-from repro.core.phases import (
-    build_pull_plan,
-    build_push_plan,
-    phase_reduce,
-    phase_reduce_bincount,
-    phase_reduce_parallel_mp,
-    phase_reduce_reduceat,
-)
+from repro.core.kernels import reduce_bincount, reduce_parallel_mp
+from repro.core.phases import build_pull_plan, build_push_plan, phase_reduce
 from repro.frameworks.blocking import BlockingEngine, build_block_layout
 from repro.parallel import procpool
-from tests.core.test_kernels import dense_ref, layout_cases, skewed_edges
-from tests.core.test_phase_kernels import phase_cases
+from tests.core.test_kernels import (
+    dense_ref,
+    layout_cases,
+    skewed_edges,
+    spmv,
+    spmv_bincount,
+    spmv_reduceat,
+)
+from tests.core.test_phase_kernels import phase_cases, serial_base
 
-SERIAL = {"bincount": spmv_bincount, "reduceat": spmv_reduceat}
-PHASE_SERIAL = {
-    "bincount": phase_reduce_bincount,
-    "reduceat": phase_reduce_reduceat,
-}
+
+def spmv_parallel_mp(layout, x, **options):
+    return reduce_parallel_mp(layout.reduce_plan, x, **options)
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -64,13 +58,11 @@ class TestLayoutBitIdentity:
         n = layout.num_nodes
         x = rng.random(n) if rank is None else rng.random((n, rank))
         static = rng.random(x.shape) if with_static else None
-        for base, serial in SERIAL.items():
-            pooled = spmv_parallel_mp(
-                layout, x, static=static, max_workers=2, base=base
-            )
-            assert np.array_equal(
-                serial(layout, x, static=static), pooled
-            ), base
+        serial = spmv_bincount if rank is None else spmv_reduceat
+        pooled = spmv_parallel_mp(
+            layout, x, static=static, max_workers=2
+        )
+        assert np.array_equal(serial(layout, x, static=static), pooled)
 
     @given(layout_cases(), st.sampled_from((None, 8)))
     @settings(max_examples=15, deadline=None)
@@ -84,8 +76,8 @@ class TestLayoutBitIdentity:
         )
 
     def test_default_base_tracks_rank(self):
-        # Without an explicit base, rank-1 rides bincount and rank-k
-        # rides reduceat — same policy as the thread backend.
+        # Rank-1 rides bincount and rank-k rides reduceat — same policy
+        # as the thread backend.
         rng = np.random.default_rng(0)
         src, dst = skewed_edges(rng, 50, 300)
         layout = build_block_layout(src, dst, 50, 16)
@@ -102,10 +94,13 @@ class TestLayoutBitIdentity:
 
     @pytest.mark.parametrize("base", ("bincount", "reduceat"))
     def test_no_edges(self, base):
+        # The base follows the input's rank: 1-D for bincount, rank-k
+        # for reduceat.
         e = np.empty(0, dtype=np.int64)
         layout = build_block_layout(e, e, 10, 4)
-        y = spmv_parallel_mp(layout, np.ones(10), max_workers=2, base=base)
-        assert np.array_equal(y, np.zeros(10))
+        shape = (10,) if base == "bincount" else (10, 3)
+        y = spmv_parallel_mp(layout, np.ones(shape), max_workers=2)
+        assert np.array_equal(y, np.zeros(shape))
 
 
 class TestPhaseBitIdentity:
@@ -120,23 +115,19 @@ class TestPhaseBitIdentity:
         plan = build_push_plan(csr, values=values, max_parts=parts)
         n = csr.num_rows
         x = rng.random(n) if rank is None else rng.random((n, rank))
-        for base, serial in PHASE_SERIAL.items():
-            pooled = phase_reduce_parallel_mp(
-                plan, x, max_workers=2, base=base
-            )
-            assert np.array_equal(serial(plan, x), pooled), base
+        pooled = reduce_parallel_mp(plan, x, max_workers=2)
+        assert np.array_equal(serial_base(x)(plan, x), pooled)
 
     @given(phase_cases(), st.sampled_from((1, 5)))
     @settings(max_examples=15, deadline=None)
     def test_pull_plan_bit_identical(self, case, parts):
         csc, values, rng = case
         plan = build_pull_plan(csc, values=values, max_parts=parts)
-        x = rng.random(csc.num_cols)
-        for base, serial in PHASE_SERIAL.items():
-            pooled = phase_reduce_parallel_mp(
-                plan, x, max_workers=2, base=base
-            )
-            assert np.array_equal(serial(plan, x), pooled), base
+        for x in (
+            rng.random(csc.num_cols), rng.random((csc.num_cols, 8))
+        ):
+            pooled = reduce_parallel_mp(plan, x, max_workers=2)
+            assert np.array_equal(serial_base(x)(plan, x), pooled)
 
     def test_dispatch_name(self, random_graph):
         csr = random_graph.csr
@@ -144,7 +135,7 @@ class TestPhaseBitIdentity:
         rng = np.random.default_rng(1)
         x = rng.random(csr.num_rows)
         got = phase_reduce(plan, x, kernel="parallel-mp", max_workers=2)
-        assert np.array_equal(got, phase_reduce_bincount(plan, x))
+        assert np.array_equal(got, reduce_bincount(plan, x))
 
 
 class TestEnginesAcceptMP:

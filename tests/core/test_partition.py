@@ -145,8 +145,8 @@ class TestParallelSpmv:
         rng = np.random.default_rng(7)
         x = rng.random(wiki_rr.num_rows)
         serial = part.layout.spmv(x)
-        threaded = part.layout.spmv_parallel(
-            x, max_workers=4, scatter_tasks=part.tasks
+        threaded = part.layout.spmv(
+            x, kernel="parallel", max_workers=4, scatter_tasks=part.tasks
         )
         assert np.allclose(serial, threaded, atol=1e-9)
 
@@ -155,7 +155,7 @@ class TestParallelSpmv:
         rng = np.random.default_rng(8)
         x = rng.random((wiki_rr.num_rows, 2))
         serial = part.layout.spmv(x)
-        threaded = part.layout.spmv_parallel(x, max_workers=2)
+        threaded = part.layout.spmv(x, kernel="parallel", max_workers=2)
         assert np.allclose(serial, threaded, atol=1e-9)
 
     def test_single_worker_path(self, wiki_rr):
@@ -163,6 +163,6 @@ class TestParallelSpmv:
         x = np.ones(wiki_rr.num_rows)
         assert np.allclose(
             part.layout.spmv(x),
-            part.layout.spmv_parallel(x, max_workers=1),
+            part.layout.spmv(x, kernel="parallel", max_workers=1),
             atol=1e-9,
         )

@@ -12,8 +12,8 @@ Contracts verified across random skewed bipartite structures:
 * bincount vs reduceat agree to summation-order rounding, and exactly on
   integer inputs;
 * plan structural invariants (run-aligned partition cuts, strictly
-  increasing ``run_dst``) are proven at build time and adversarial plans
-  are rejected.
+  increasing ``run_dst``) are proven by the one plan prover and
+  adversarial plans are rejected.
 """
 
 import numpy as np
@@ -21,21 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.races import (
-    dynamic_phase_check,
-    prove_phase_plan,
-)
+from repro.analysis.races import prove_schedule, replay_plan
 from repro.core.bins import build_static_bins
-from repro.core.kernels import _flat_rank_indices
-from repro.core.phases import (
-    PHASE_KERNELS,
-    build_pull_plan,
-    build_push_plan,
-    phase_reduce,
-    phase_reduce_bincount,
-    phase_reduce_parallel,
-    phase_reduce_reduceat,
+from repro.core.kernels import (
+    KERNELS,
+    _flat_rank_indices,
+    reduce_bincount as phase_reduce_bincount,
+    reduce_parallel as phase_reduce_parallel,
+    reduce_reduceat as phase_reduce_reduceat,
 )
+from repro.core.phases import build_pull_plan, build_push_plan, phase_reduce
 from repro.core.semiring import PLUS_TIMES
 from repro.errors import EngineError, RaceError
 from repro.graphs.csr import CSR
@@ -44,6 +39,11 @@ SERIAL = {
     "bincount": phase_reduce_bincount,
     "reduceat": phase_reduce_reduceat,
 }
+
+
+def serial_base(x):
+    """The serial base a pool rung accumulates with for input ``x``."""
+    return SERIAL["bincount" if np.ndim(x) == 1 else "reduceat"]
 
 
 @st.composite
@@ -118,11 +118,8 @@ class TestPushPlan:
         plan = build_push_plan(csr, values=values, max_parts=parts)
         n = csr.num_rows
         x = rng.random(n) if rank is None else rng.random((n, rank))
-        for base, serial in SERIAL.items():
-            threaded = phase_reduce_parallel(
-                plan, x, max_workers=3, base=base
-            )
-            assert np.array_equal(serial(plan, x), threaded), base
+        threaded = phase_reduce_parallel(plan, x, max_workers=3)
+        assert np.array_equal(serial_base(x)(plan, x), threaded)
 
     @given(phase_cases(), st.sampled_from((None, 2)))
     @settings(max_examples=60, deadline=None)
@@ -176,12 +173,11 @@ class TestPullPlan:
     def test_serial_parallel_bit_identical(self, case, parts):
         csc, values, rng = case
         plan = build_pull_plan(csc, values=values, max_parts=parts)
-        x = rng.random(csc.num_cols)
-        for base, serial in SERIAL.items():
-            threaded = phase_reduce_parallel(
-                plan, x, max_workers=3, base=base
-            )
-            assert np.array_equal(serial(plan, x), threaded), base
+        for x in (
+            rng.random(csc.num_cols), rng.random((csc.num_cols, 2))
+        ):
+            threaded = phase_reduce_parallel(plan, x, max_workers=3)
+            assert np.array_equal(serial_base(x)(plan, x), threaded)
 
     @given(phase_cases(), st.sampled_from((None, 2)))
     @settings(max_examples=40, deadline=None)
@@ -215,10 +211,10 @@ class TestPlanStructure:
     def test_build_proof_and_dynamic_replay(self, case, parts):
         csr, values, _ = case
         plan = build_push_plan(csr, values=values, max_parts=parts)
-        proof = prove_phase_plan(plan)
+        proof = prove_schedule(plan)
         assert proof.num_messages == csr.num_edges
         assert "race-free" in proof.describe()
-        dynamic_phase_check(plan)
+        assert replay_plan(plan) == proof
         # Partition count is deterministic in the plan, independent of
         # the worker count used to execute it.
         assert plan.part_edge_ptr[-1] == csr.num_edges
@@ -237,7 +233,7 @@ class TestPlanStructure:
             part_run_ptr=np.array([0, 0, 1], dtype=np.int64),
         )
         with pytest.raises(RaceError):
-            prove_phase_plan(bad)
+            prove_schedule(bad)
 
     def test_non_monotone_run_dst_rejected(self):
         src = np.array([0, 0], dtype=np.int64)
@@ -250,7 +246,7 @@ class TestPlanStructure:
             plan, run_dst=plan.run_dst[::-1].copy()
         )
         with pytest.raises(RaceError):
-            prove_phase_plan(bad)
+            prove_schedule(bad)
 
     def test_unknown_kernel_raises(self):
         csr, _ = CSR.from_edges_with_order(
@@ -262,7 +258,8 @@ class TestPlanStructure:
             phase_reduce(plan, np.ones(1), kernel="nope")
 
     def test_phase_kernels_cover_spmv_backends(self):
-        assert set(PHASE_KERNELS) == {
+        # One backend set runs every phase's plan.
+        assert set(KERNELS) == {
             "bincount", "reduceat", "parallel", "parallel-mp",
         }
 

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,30 @@ def small_layout(seed=0, n=120, m=900, block_nodes=32, weighted=True):
     return build_block_layout(
         src, dst, num_nodes=n, block_nodes=block_nodes, values=values
     )
+
+
+def ensure(layout):
+    """The packed shm copy of a layout's Main-Phase plan."""
+    return procpool.ensure_plan(layout.reduce_plan)
+
+
+def spmv_bincount(layout, x):
+    from repro.core.kernels import reduce_bincount
+
+    return reduce_bincount(layout.reduce_plan, x)
+
+
+def process_alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie awaiting its reaper has exited)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, IndexError):
+        return False
 
 
 class TestShmRegistry:
@@ -119,8 +144,8 @@ class TestPackAttach:
 class TestPlanCache:
     def test_same_layout_hits_cache(self):
         layout = small_layout()
-        first = procpool.ensure_layout_plan(layout, "bincount")
-        second = procpool.ensure_layout_plan(layout, "bincount")
+        first = ensure(layout)
+        second = ensure(layout)
         assert first is second
 
     def test_identical_structure_shares_plan_across_objects(self):
@@ -130,22 +155,23 @@ class TestPlanCache:
         a = small_layout(seed=3)
         b = small_layout(seed=3)
         assert a is not b
-        plan_a = procpool.ensure_layout_plan(a, "reduceat")
-        plan_b = procpool.ensure_layout_plan(b, "reduceat")
+        plan_a = ensure(a)
+        plan_b = ensure(b)
         assert plan_a is plan_b
 
-    def test_bases_get_distinct_plans(self):
+    def test_bases_share_one_plan(self):
+        # Both accumulation bases run from the same packed streams.
         layout = small_layout()
-        bc = procpool.ensure_layout_plan(layout, "bincount")
-        ra = procpool.ensure_layout_plan(layout, "reduceat")
-        assert bc.segment != ra.segment
+        plan = ensure(layout)
+        x1 = np.random.default_rng(1).random(layout.num_nodes)
+        xk = np.random.default_rng(2).random((layout.num_nodes, 3))
+        procpool.run_reduce(plan, x1, base="bincount", workers=2)
+        procpool.run_reduce(plan, xk, base="reduceat", workers=2)
+        assert len(procpool._PLANS) == 1
 
     def test_lru_eviction_releases_segments(self, monkeypatch):
         monkeypatch.setenv("REPRO_MP_PLAN_CACHE", "2")
-        plans = [
-            procpool.ensure_layout_plan(small_layout(seed=s), "bincount")
-            for s in range(3)
-        ]
+        plans = [ensure(small_layout(seed=s)) for s in range(3)]
         assert len(procpool._PLANS) == 2
         evicted = plans[0]
         assert evicted.segment not in procpool._REGISTRY.names
@@ -156,28 +182,40 @@ class TestPlanCache:
     def test_bad_cache_size_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_MP_PLAN_CACHE", "0")
         with pytest.raises(MachineError, match="REPRO_MP_PLAN_CACHE"):
-            procpool.ensure_layout_plan(small_layout(), "bincount")
+            ensure(small_layout())
 
     def test_plan_carries_proof(self):
+        # The shipped task table is the proved plan's partition table.
+        from repro.analysis.races import prove_schedule
+
         layout = small_layout()
-        plan = procpool.ensure_layout_plan(layout, "bincount")
-        assert plan.proof is not None
-        assert plan.num_messages == layout.num_edges
+        reduce_plan = layout.reduce_plan
+        proof = prove_schedule(reduce_plan)
+        plan = ensure(layout)
+        cache: dict = {}
+        shipped = procpool._worker_arrays(plan.manifest, cache)["tasks"]
+        expected = [
+            reduce_plan.partition(p)
+            for p in range(proof.num_partitions)
+            if reduce_plan.partition(p)[1] > reduce_plan.partition(p)[0]
+        ]
+        assert [tuple(row) for row in shipped.tolist()] == expected
+        for seg in cache.values():
+            seg.close()
+        assert plan.num_messages == proof.num_messages
 
 
 class TestPoolExecution:
     def test_reduce_matches_serial(self):
-        from repro.core.kernels import spmv_bincount
-
         layout = small_layout()
-        plan = procpool.ensure_layout_plan(layout, "bincount")
+        plan = ensure(layout)
         x = np.random.default_rng(7).random(layout.num_nodes)
         y = procpool.run_reduce(plan, x, base="bincount", workers=2)
         assert np.array_equal(y, spmv_bincount(layout, x))
 
     def test_pool_is_reused_across_dispatches(self):
         layout = small_layout()
-        plan = procpool.ensure_layout_plan(layout, "reduceat")
+        plan = ensure(layout)
         x = np.random.default_rng(8).random((layout.num_nodes, 4))
         procpool.run_reduce(plan, x, base="reduceat", workers=2)
         pool = procpool._POOL
@@ -187,7 +225,7 @@ class TestPoolExecution:
 
     def test_killed_worker_raises_and_fail_stops(self):
         layout = small_layout()
-        plan = procpool.ensure_layout_plan(layout, "bincount")
+        plan = ensure(layout)
         x = np.ones(layout.num_nodes)
         pool = procpool.get_pool(2)
         victim = pool._procs[0]
@@ -200,17 +238,15 @@ class TestPoolExecution:
         assert shm_segments() == []
 
     def test_pool_rebuilds_after_crash(self):
-        from repro.core.kernels import spmv_bincount
-
         layout = small_layout()
-        plan = procpool.ensure_layout_plan(layout, "bincount")
+        plan = ensure(layout)
         x = np.ones(layout.num_nodes)
         pool = procpool.get_pool(2)
         os.kill(pool._procs[1].pid, signal.SIGKILL)
         with pytest.raises(WorkerCrashError):
             pool.run_reduce(plan, x, base="bincount", workers=2)
         # Next dispatch lazily rebuilds the pool and the plan.
-        plan = procpool.ensure_layout_plan(layout, "bincount")
+        plan = ensure(layout)
         y = procpool.run_reduce(plan, x, base="bincount", workers=2)
         assert np.array_equal(y, spmv_bincount(layout, x))
 
@@ -218,13 +254,11 @@ class TestPoolExecution:
         # A dispatch abandoned by its watchdog can fail after its pool
         # was torn down and replaced; its fail-stop must not kill the
         # successor or unlink the successor's plans.
-        from repro.core.kernels import spmv_bincount
-
         layout = small_layout()
         x = np.ones(layout.num_nodes)
         abandoned = procpool.get_pool(2)
         procpool.cleanup()
-        plan = procpool.ensure_layout_plan(layout, "bincount")
+        plan = ensure(layout)
         successor = procpool.get_pool(2)
         with pytest.raises(IndexError):  # no queues left to dispatch to
             abandoned.run_reduce(plan, x, base="bincount", workers=2)
@@ -257,7 +291,7 @@ class TestAbnormalExitCleanliness:
                 rng.integers(0, 64, 400), rng.integers(0, 64, 400),
                 num_nodes=64, block_nodes=16,
             )
-            plan = procpool.ensure_layout_plan(layout, "bincount")
+            plan = procpool.ensure_plan(layout.reduce_plan)
             procpool.run_reduce(
                 plan, np.ones(64), base="bincount", workers=2
             )
@@ -280,6 +314,37 @@ class TestAbnormalExitCleanliness:
         assert names, "child created no segments?"
         for name in names:
             assert not os.path.exists(f"/dev/shm/{name}")
+
+    def test_workers_exit_when_parent_is_killed(self):
+        # A forked child builds a pool and is SIGKILLed: its workers,
+        # reparented, must notice and exit instead of blocking forever
+        # on their task queues.
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read_fd)
+                pool = procpool.ProcPool(2)
+                pids = " ".join(str(p.pid) for p in pool._procs)
+                os.write(write_fd, f"{pids}\n".encode())
+                time.sleep(60)
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        with os.fdopen(read_fd) as fh:
+            workers = [int(p) for p in fh.readline().split()]
+        assert len(workers) == 2
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and any(
+            process_alive(w) for w in workers
+        ):
+            time.sleep(0.1)
+        survivors = [w for w in workers if process_alive(w)]
+        for w in survivors:
+            os.kill(w, signal.SIGKILL)
+        assert survivors == []
 
     def test_cleanup_idempotent(self):
         procpool.cleanup()

@@ -8,6 +8,7 @@ import pytest
 from repro.algorithms.pagerank import PageRank
 from repro.core.engine import MixenEngine
 from repro.errors import ServeError
+from repro.serve.store import STORE_VERSION
 from repro.serve import (
     LayoutStore,
     boot_engine,
@@ -68,7 +69,8 @@ class TestBootEngine:
             == cold.certificate.certificate_id
         )
         # A race proof only exists when prove_schedule succeeded.
-        assert warm.race_proof.num_scatter_tasks > 0
+        assert warm.race_proof == cold.race_proof
+        assert warm.race_proof.num_partitions > 0
 
     def test_corruption_detected_and_rebuilt(
         self, random_graph, tmp_path
@@ -157,7 +159,7 @@ class TestStoreDurability:
         manifest = json.loads(
             (tmp_path / "manifest.json").read_text("utf-8")
         )
-        assert manifest["version"] == 1
+        assert manifest["version"] == STORE_VERSION
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_drop_removes_artifacts(self, random_graph, tmp_path):
@@ -176,7 +178,7 @@ class TestPackEngine:
         engine.prepare()
         arrays, meta = pack_engine(engine)
         assert meta["num_nodes"] == random_graph.num_nodes
-        assert "perm" in arrays and "rp_order" in arrays
+        assert "perm" in arrays and "rp_dst" in arrays
 
 
 class TestTunedStaleness:

@@ -121,7 +121,7 @@ class TestWeightedMixenDetails:
         engine.prepare()
         x = np.random.default_rng(5).random(g.num_nodes)
         serial = engine.layout.spmv(x)
-        threaded = engine.layout.spmv_parallel(x, max_workers=3)
+        threaded = engine.layout.spmv(x, kernel="parallel", max_workers=3)
         assert np.allclose(serial, threaded, atol=1e-9)
 
     def test_mixed_values_cover_all_edges(self, weighted_case):
