@@ -1,24 +1,17 @@
-"""Dynamic-graph update microbenchmark: patch + delta re-score vs
-full rebuild (DESIGN 4i).
+"""Dynamic-graph update microbenchmark: incremental CSR patch vs full
+rebuild (DESIGN 4i).
 
-Two questions the epoch layer rides on:
+The one update path — the server's — lands each
+:class:`~repro.graphs.updates.UpdateBatch` through
+:func:`~repro.core.epoch.checked_apply` (fault-probed ``O(m + k log k)``
+CSR patch, verified, falling back to the from-scratch rebuild) and then
+prepares a fresh engine on the updated graph.  The bench times that
+patch per batch against the from-scratch oracle: rebuild the edge set
+(``O(m log m)``) and re-run the whole layout pipeline
+(``MixenEngine.prepare``).  The guard below requires a measured >= 3x
+win at the smallest batch size.
 
-* **amortized per-batch patch cost** — landing one
-  :class:`~repro.graphs.updates.UpdateBatch` through the incremental
-  path (``O(m + k log k)`` CSR patch + spill-overlay merge +
-  incremental class maintenance) must beat rebuilding the edge set and
-  re-running the whole ``O(m log m)`` layout pipeline; the guard below
-  requires a measured >= 3x win at the smallest batch size, which is
-  what makes the epoch machinery worth its complexity.  The bench also
-  records the end-to-end ratio (patch + warm delta re-score vs rebuild
-  + cold solve) — the warm win grows with graph size as the residual
-  start shrinks relative to the cold iteration count;
-* **degradation crossover** — the overlay is bounded: past
-  ``max_spill_fraction`` the engine transparently rebuilds.  The bench
-  streams fixed-size batches until the threshold trips and records how
-  many batches one rebuild amortizes over.
-
-Records both to ``bench_results/update.json``.  Run from the repo
+Records the sweep to ``bench_results/update.json``.  Run from the repo
 root::
 
     PYTHONPATH=src python benchmarks/bench_update.py
@@ -39,8 +32,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(ROOT / "src"))
 
-from repro.algorithms import ALGORITHMS  # noqa: E402
-from repro.core import EpochConfig, EpochEngine, MixenEngine  # noqa: E402
+from repro.core import MixenEngine, checked_apply  # noqa: E402
 from repro.graphs import load_dataset  # noqa: E402
 from repro.graphs.updates import (  # noqa: E402
     random_batches,
@@ -66,17 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="update batches timed per size (default 6)",
     )
     parser.add_argument(
-        "--tolerance", type=float, default=1e-6,
-        help="delta re-scoring residual tolerance (default 1e-6; the "
-        "warm answer sits within 2d/(1-d)*tol of the cold fixed point)",
-    )
-    parser.add_argument(
-        "--iterations", type=int, default=200,
-        help="iteration cap per solve (default 200)",
-    )
-    parser.add_argument(
         "--kernel", default="reduceat",
-        help="propagation kernel (default reduceat)",
+        help="kernel of the rebuilt engine (default reduceat)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -94,64 +77,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _time_incremental(graph, batches, *, tolerance, iterations, kernel):
-    """Per-batch (patch_seconds, rescore_seconds, iterations, spill)
-    of the incremental path.  The warm-up solve that seeds the state
-    bundle is not timed — it replaces the one cold solve every
-    deployment runs at boot."""
-    config = EpochConfig(tolerance=tolerance)
-    engine = EpochEngine(graph, config=config, kernel=kernel)
-    algorithm = ALGORITHMS["pagerank"]()
-    engine.rescore(algorithm, max_iterations=iterations)
-    patch_s, rescore_s, iters, spills = [], [], [], []
+def _time_patch(graph, batches):
+    """Per-batch seconds of the served patch: ``checked_apply`` chained
+    over the stream."""
+    patch_s = []
+    current = graph
     for batch in batches:
         t0 = time.perf_counter()
-        engine.apply(batch)
-        t1 = time.perf_counter()
-        result = engine.rescore(algorithm, max_iterations=iterations)
-        patch_s.append(t1 - t0)
-        rescore_s.append(time.perf_counter() - t1)
-        iters.append(result.iterations)
-        spills.append(engine.spill_fraction)
-    return patch_s, rescore_s, iters, spills
+        current, _ = checked_apply(current, batch)
+        patch_s.append(time.perf_counter() - t0)
+    return patch_s
 
 
-def _time_rebuild(graph, batches, *, iterations, kernel):
-    """Per-batch (layout_seconds, solve_seconds, iterations) of the
-    from-scratch oracle: rebuild the edge set, re-run the whole layout
-    pipeline, cold-solve."""
-    algorithm = ALGORITHMS["pagerank"]()
-    layout_s, solve_s, iters = [], [], []
+def _time_rebuild(graph, batches, *, kernel):
+    """Per-batch seconds of the from-scratch oracle: rebuild the edge
+    set and re-run the whole layout pipeline."""
+    layout_s = []
     current = graph
     for batch in batches:
         t0 = time.perf_counter()
         current = rebuild_from_batch(current, batch)
         engine = MixenEngine(current, kernel=kernel)
         engine.prepare()
-        t1 = time.perf_counter()
-        result = engine.run(algorithm, max_iterations=iterations)
-        layout_s.append(t1 - t0)
-        solve_s.append(time.perf_counter() - t1)
-        iters.append(result.iterations)
-    return layout_s, solve_s, iters
-
-
-def _degradation_crossover(graph, *, batch_size, tolerance, kernel,
-                           max_spill_fraction, seed, cap=256):
-    """Stream fixed-size batches until the spill threshold trips;
-    returns (batches_to_trip, spill_fraction_before_trip)."""
-    config = EpochConfig(
-        tolerance=tolerance, max_spill_fraction=max_spill_fraction
-    )
-    engine = EpochEngine(graph, config=config, kernel=kernel)
-    batches = random_batches(graph, cap, batch_size, seed=seed)
-    last_spill = 0.0
-    for count, batch in enumerate(batches, start=1):
-        report = engine.apply(batch)
-        if report.rebuilt:
-            return count, last_spill
-        last_spill = report.spill_fraction
-    return None, last_spill
+        layout_s.append(time.perf_counter() - t0)
+    return layout_s
 
 
 def _mean(values) -> float:
@@ -164,77 +113,39 @@ def main(argv=None) -> int:
         args.scale = min(args.scale, 0.25)
         args.batches = min(args.batches, 4)
         args.batch_sizes = "8,64"
-        args.iterations = min(args.iterations, 100)
 
     graph = load_dataset(args.graph, scale=args.scale)
     sizes = [int(s) for s in args.batch_sizes.split(",") if s.strip()]
+    # untimed warm-up: the first call of each path pays one-time
+    # imports (the fault-site registry, the kernels) that no served
+    # update sees
+    (warm,) = random_batches(graph, 1, sizes[0], seed=args.seed)
+    _time_patch(graph, [warm])
+    _time_rebuild(graph, [warm], kernel=args.kernel)
 
     sweeps = []
     for size in sizes:
         batches = random_batches(
             graph, args.batches, size, seed=args.seed
         )
-        patch_s, rescore_s, inc_iters, spills = _time_incremental(
-            graph,
-            batches,
-            tolerance=args.tolerance,
-            iterations=args.iterations,
-            kernel=args.kernel,
-        )
-        layout_s, solve_s, reb_iters = _time_rebuild(
-            graph,
-            batches,
-            iterations=args.iterations,
-            kernel=args.kernel,
-        )
-        patch = _mean(patch_s)
-        rescore = _mean(rescore_s)
-        layout = _mean(layout_s)
-        solve = _mean(solve_s)
+        patch = _mean(_time_patch(graph, batches))
+        layout = _mean(_time_rebuild(graph, batches, kernel=args.kernel))
         sweeps.append(
             {
                 "batch_size": size,
                 "batches": args.batches,
                 "patch_s_per_batch": patch,
-                "rescore_s_per_batch": rescore,
                 "rebuild_s_per_batch": layout,
-                "cold_solve_s_per_batch": solve,
                 "patch_speedup": layout / patch if patch else 0.0,
-                "end_to_end_speedup": (
-                    (layout + solve) / (patch + rescore)
-                    if patch + rescore
-                    else 0.0
-                ),
-                "warm_iterations": _mean(inc_iters),
-                "cold_iterations": _mean(reb_iters),
-                "final_spill_fraction": spills[-1],
             }
         )
-
-    max_spill = 0.02
-    trip_batches, trip_spill = _degradation_crossover(
-        graph,
-        batch_size=sizes[0],
-        tolerance=args.tolerance,
-        kernel=args.kernel,
-        max_spill_fraction=max_spill,
-        seed=args.seed + 1,
-    )
 
     payload = {
         "graph": graph.name,
         "num_nodes": graph.num_nodes,
         "num_edges": graph.num_edges,
         "kernel": args.kernel,
-        "tolerance": args.tolerance,
-        "iterations": args.iterations,
         "sweeps": sweeps,
-        "degradation": {
-            "max_spill_fraction": max_spill,
-            "batch_size": sizes[0],
-            "batches_to_trip": trip_batches,
-            "spill_fraction_before_trip": trip_spill,
-        },
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -245,22 +156,7 @@ def main(argv=None) -> int:
             f"batch {sweep['batch_size']:>4}: patch "
             f"{sweep['patch_s_per_batch'] * 1e3:.2f} ms vs rebuild "
             f"{sweep['rebuild_s_per_batch'] * 1e3:.2f} ms -> "
-            f"{sweep['patch_speedup']:.1f}x | end-to-end "
-            f"{sweep['end_to_end_speedup']:.1f}x "
-            f"(warm {sweep['warm_iterations']:.0f} vs cold "
-            f"{sweep['cold_iterations']:.0f} iters, spill "
-            f"{sweep['final_spill_fraction']:.4f})"
-        )
-    if trip_batches is None:
-        print(
-            f"degradation: threshold {max_spill} never tripped "
-            f"(spill reached {trip_spill:.4f})"
-        )
-    else:
-        print(
-            f"degradation: threshold {max_spill} tripped after "
-            f"{trip_batches} batches of {sizes[0]} "
-            f"(spill {trip_spill:.4f} before the rebuild)"
+            f"{sweep['patch_speedup']:.1f}x"
         )
     print(f"[saved to {out}]")
 

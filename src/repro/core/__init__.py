@@ -1,20 +1,8 @@
 """Mixen: the paper's connectivity-aware link-analysis framework."""
 
-from .bins import (
-    DynamicBinStats,
-    SpillBinStats,
-    build_static_bins,
-    dynamic_bin_stats,
-    spill_bin_stats,
-)
+from .bins import DynamicBinStats, build_static_bins, dynamic_bin_stats
 from .engine import MixenEngine
-from .epoch import (
-    ApplyReport,
-    EpochConfig,
-    EpochEngine,
-    EpochResult,
-    checked_apply,
-)
+from .epoch import checked_apply
 from .extension import FilteredEngine
 from .filtering import FilterPlan, filter_graph
 from .kernels import (
@@ -24,7 +12,7 @@ from .kernels import (
     reduce,
     resolve_kernel,
 )
-from .mixed_format import MixedGraph, SpillOverlay, build_mixed
+from .mixed_format import MixedGraph, build_mixed
 from .partition import (
     BlockTask,
     RegularPartition,
@@ -44,12 +32,8 @@ from .scheduler import MixenRunResult, run_schedule
 from .semiring import MIN_PLUS, PLUS_TIMES, Semiring
 
 __all__ = [
-    "ApplyReport",
     "BlockTask",
     "DynamicBinStats",
-    "EpochConfig",
-    "EpochEngine",
-    "EpochResult",
     "FilteredEngine",
     "FilterPlan",
     "KERNEL_NAMES",
@@ -62,8 +46,6 @@ __all__ = [
     "RegularPartition",
     "ScgaKernel",
     "Semiring",
-    "SpillBinStats",
-    "SpillOverlay",
     "build_mixed",
     "build_plan",
     "build_static_bins",
@@ -81,6 +63,5 @@ __all__ = [
     "reduce",
     "resolve_kernel",
     "run_schedule",
-    "spill_bin_stats",
     "unpermute_values",
 ]

@@ -70,63 +70,6 @@ def dynamic_bin_stats(layout: BlockLayout) -> DynamicBinStats:
     return DynamicBinStats(m, compressed)
 
 
-@dataclass(frozen=True)
-class SpillBinStats:
-    """Per-block accounting of a spill overlay against a base layout.
-
-    Spilled edges whose (relabeled) endpoints both land in the regular
-    segment map to a 2-D block exactly like base edges do; the counts
-    below tell the epoch layer how concentrated the spill is — a few
-    hot blocks degrade the blocked kernel's locality long before the
-    global spill fraction trips.
-    """
-
-    spilled_inserts: int
-    spilled_deletes: int
-    #: distinct regular blocks holding at least one spilled edge.
-    blocks_touched: int
-    #: largest per-block spilled-edge count (0 = no regular spill).
-    max_block_spill: int
-
-    @property
-    def total_spilled(self) -> int:
-        """Total spilled edge count (regular or not)."""
-        return self.spilled_inserts + self.spilled_deletes
-
-
-def spill_bin_stats(overlay, plan, block_nodes: int) -> SpillBinStats:
-    """Map a :class:`~repro.core.mixed_format.SpillOverlay`'s edges
-    through ``plan``'s relabeling and count spills per regular block."""
-    c = max(int(block_nodes), 1)
-    r = plan.num_regular
-    blocks_per_side = max((r + c - 1) // c, 1)
-    counts = np.zeros(0, dtype=np.int64)
-    for src, dst in (
-        (overlay.insert_src, overlay.insert_dst),
-        (overlay.delete_src, overlay.delete_dst),
-    ):
-        if src.size == 0:
-            continue
-        ps = plan.perm[src].astype(np.int64)
-        pd = plan.perm[dst].astype(np.int64)
-        regular = (ps < r) & (pd < r)
-        if not np.any(regular):
-            continue
-        block_ids = (ps[regular] // c) * blocks_per_side + pd[regular] // c
-        block_counts = np.bincount(block_ids)
-        if block_counts.size > counts.size:
-            block_counts[: counts.size] += counts
-            counts = block_counts
-        else:
-            counts[: block_counts.size] += block_counts
-    return SpillBinStats(
-        int(overlay.insert_src.size),
-        int(overlay.delete_src.size),
-        int(np.count_nonzero(counts)),
-        int(counts.max()) if counts.size else 0,
-    )
-
-
 def build_static_bins(
     seed_to_reg: CSR,
     xs_seed: np.ndarray,

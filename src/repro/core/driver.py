@@ -27,7 +27,6 @@ the pre-driver implementations.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
@@ -195,69 +194,6 @@ class BundleStep(abc.ABC):
         return tuple(
             spec.name for spec in self.state_spec() if spec.guarded
         )
-
-
-def bundle_residual(old: StateBundle, new: StateBundle) -> float:
-    """Summed L1 distance between two bundles' shared float arrays.
-
-    The delta re-scoring convergence metric (DESIGN 4i): a warm-started
-    run stops once one iteration moves the state by no more than the
-    epoch tolerance.
-    """
-    total = 0.0
-    for name in new.names:
-        if name not in old:
-            continue
-        a = np.asarray(old[name], dtype=np.float64)
-        b = np.asarray(new[name], dtype=np.float64)
-        total += float(np.abs(b - a).sum())
-    return total
-
-
-class ResidualStep(BundleStep):
-    """Wrap a step with residual-based convergence for delta re-scoring.
-
-    Warm-starting from a previous epoch's :class:`StateBundle` only
-    pays off when the loop can *stop early*: the wrapped step converges
-    when the inner test fires **or** the per-iteration L1 residual
-    drops to ``tolerance``.  On a lightly perturbed graph the warm
-    state is already near the new fixed point, so the loop exits after
-    a handful of iterations instead of the cold-start budget.
-    """
-
-    def __init__(self, inner: BundleStep, tolerance: float) -> None:
-        if tolerance < 0.0:
-            raise ValueError("residual tolerance must be non-negative")
-        self.inner = inner
-        self.tolerance = float(tolerance)
-        self.name = f"{inner.name}+residual"
-        self.watch_stall = inner.watch_stall
-        #: residual of the most recent convergence check.
-        self.last_residual = math.inf
-
-    def state_spec(self) -> tuple:
-        return self.inner.state_spec()
-
-    def step(self, state, iteration, ctx):
-        return self.inner.step(state, iteration, ctx)
-
-    def finished(self, state) -> bool:
-        return self.inner.finished(state)
-
-    def rehydrate(self, state, ctx) -> None:
-        self.inner.rehydrate(state, ctx)
-
-    def converged(self, old, new) -> bool:
-        if self.inner.converged(old, new):
-            return True
-        self.last_residual = bundle_residual(old, new)
-        return self.last_residual <= self.tolerance
-
-    def norm_limit(self) -> float | None:
-        return self.inner.norm_limit()
-
-    def guarded_names(self) -> tuple:
-        return self.inner.guarded_names()
 
 
 @dataclass

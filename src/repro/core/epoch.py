@@ -1,48 +1,24 @@
-"""Epoch-versioned mutable layout with delta re-scoring (DESIGN 4i).
+"""The one graph-update path (DESIGN 4i): a fault-probed CSR patch.
 
-The static pipeline builds one layout and answers queries against it
-forever; :class:`EpochEngine` makes the graph *mutable* without giving
-up the layout's locality or the engine's determinism:
+Every applied :class:`~repro.graphs.updates.UpdateBatch` goes through
+:func:`checked_apply`, and the caller then prepares a fresh
+:class:`~repro.core.engine.MixenEngine` on the updated graph, stamped
+with the next **epoch** (see :meth:`repro.serve.server.MixenServer.
+_rebuild_for`).  The layout is built once per graph version, so every
+answer at an epoch is bit-identical to a from-scratch build.
 
-* every applied :class:`~repro.graphs.updates.UpdateBatch` advances the
-  **epoch** counter — a monotonically increasing version of the edge
-  set that downstream artifacts (checkpoints, certificates, the serve
-  layout store) embed and verify;
-* the expensive base layout (filter + mixed format + 2-D partition)
-  stays **frozen** at the last rebuild; updates land in the graph's CSR
-  via the ``O(m + k log k)`` incremental patch and in a bounded
-  :class:`~repro.core.mixed_format.SpillOverlay` whose linear
-  correction keeps full-graph propagation exact;
-* connectivity classes stay exact through the
-  :class:`~repro.graphs.classify.IncrementalClassifier`, whose hub
-  mask refreshes lazily against a staleness bound;
-* once the **degradation threshold** trips — spill fraction above
-  ``max_spill_fraction`` or cumulative class churn above
-  ``max_class_churn`` — the engine transparently rebuilds the full
-  layout and resets the overlay;
-* re-scoring **warm-starts** from the previous epoch's state bundle
-  with residual-based convergence (tolerance > 0), or runs the exact
-  cold path on a freshly rebuilt layout (tolerance 0, bit-identical to
-  a from-scratch build — the oracle contract the tests pin).
-
-Fault sites: :meth:`EpochEngine.apply` probes ``update_apply`` before
-any state mutates (a crash leaves the epoch clean; the retried apply
-succeeds) and ``update_patch`` after patching but before verification
-(a corrupted patch fails :func:`~repro.graphs.updates.verify_patch`
-and falls back to the full rebuild path, whose adjacency is bitwise
-identical — so a faulted patch can never change a score).
+Fault sites: ``update_apply`` fires before any work (a crash leaves
+the caller's graph untouched; the retried apply succeeds) and
+``update_patch`` after patching but before verification (a corrupted
+patch fails :func:`~repro.graphs.updates.verify_patch` and falls back
+to the from-scratch rebuild, whose adjacency is bitwise identical — so
+a faulted patch can never change a score).
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from ..errors import UpdateError
-from ..graphs.classify import IncrementalClassifier
 from ..graphs.graph import Graph
 from ..graphs.updates import (
     UpdateBatch,
@@ -50,82 +26,6 @@ from ..graphs.updates import (
     rebuild_from_batch,
     verify_patch,
 )
-from .bins import SpillBinStats, spill_bin_stats
-from .driver import IterationDriver, ResidualStep, StateBundle
-from .engine import MixenEngine
-from .mixed_format import SpillOverlay
-
-
-@dataclass(frozen=True)
-class EpochConfig:
-    """Policy knobs of the epoch layer.
-
-    ``tolerance`` selects the re-scoring mode: ``0.0`` (the default)
-    is the exact contract — every :meth:`EpochEngine.rescore` rebuilds
-    a fresh layout when the overlay is non-empty and cold-solves on
-    it, bit-identical to a from-scratch pipeline; a positive tolerance
-    enables delta re-scoring — warm-start from the previous epoch's
-    state and stop once one iteration moves the state by at most
-    ``tolerance`` in L1.  For a damping-``d`` contraction the warm
-    answer then sits within ``2 d / (1 - d) * tolerance`` (L1) of the
-    cold fixed point.
-    """
-
-    #: residual tolerance of delta re-scoring; 0.0 = exact cold mode.
-    tolerance: float = 0.0
-    #: overlay-size fraction (vs base edges) that forces a rebuild.
-    max_spill_fraction: float = 0.25
-    #: cumulative reclassified-node fraction that forces a rebuild.
-    max_class_churn: float = 0.10
-    #: relative edge-count drift before the hub mask fully refreshes.
-    hub_staleness: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.tolerance < 0.0:
-            raise UpdateError("epoch tolerance must be non-negative")
-        if self.max_spill_fraction <= 0.0 or self.max_class_churn <= 0.0:
-            raise UpdateError(
-                "epoch degradation thresholds must be positive"
-            )
-
-
-@dataclass(frozen=True)
-class ApplyReport:
-    """What one :meth:`EpochEngine.apply` did."""
-
-    #: epoch after the batch committed.
-    epoch: int
-    #: nodes whose connectivity class changed.
-    reclassified: int
-    #: the incremental patch failed verification; the batch landed
-    #: through the full from-scratch rebuild path instead.
-    fell_back: bool
-    #: the degradation threshold tripped and the base layout rebuilt.
-    rebuilt: bool
-    #: overlay spill fraction after the batch (0.0 right after rebuild).
-    spill_fraction: float
-    #: cumulative class churn since the last rebuild.
-    class_churn: float
-
-
-@dataclass
-class EpochResult:
-    """Outcome of one :meth:`EpochEngine.rescore`."""
-
-    scores: np.ndarray = field(repr=False)
-    iterations: int
-    converged: bool
-    #: graph epoch the scores are valid for.
-    epoch: int
-    #: "cold-rebuild" (exact mode) or "warm-delta" (residual mode).
-    mode: str
-    #: last checked L1 residual (0.0 in cold mode; ``inf`` when the
-    #: warm loop never reached a residual check).
-    residual: float
-    seconds: float
-    #: proof-certificate id of the layout that produced the scores
-    #: (cold mode; warm mode reuses the base layout's certificate).
-    certificate_id: str | None = None
 
 
 def checked_apply(
@@ -164,233 +64,3 @@ def _vandalize_patch(graph: Graph, value) -> None:
     if isinstance(value, (int, float)) and math.isfinite(value):
         bad = int(value)
     indices[slot] = bad
-
-
-class EpochEngine:
-    """Mutable-graph facade over :class:`~repro.core.engine.MixenEngine`.
-
-    Owns the current :class:`~repro.graphs.graph.Graph`, the frozen
-    base layout, the spill overlay, the incremental classifier, the
-    epoch counter, and one warm-start state bundle per algorithm.
-    Engine options (``block_nodes``, ``kernel``, ...) pass through to
-    every (re)built :class:`MixenEngine`.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        *,
-        config: EpochConfig | None = None,
-        **engine_options,
-    ) -> None:
-        if engine_options.get("edge_values") is not None:
-            raise UpdateError(
-                "the epoch layer does not support weighted graphs yet: "
-                "per-edge values cannot ride the spill overlay"
-            )
-        engine_options.pop("edge_values", None)
-        self.config = config or EpochConfig()
-        self.engine_options = engine_options
-        self.graph = graph
-        #: batches applied since construction (the artifact version).
-        self.epoch = 0
-        #: epoch at which the base layout was (re)built.
-        self.base_epoch = 0
-        self.overlay = SpillOverlay.empty()
-        self.classifier = IncrementalClassifier(
-            graph, hub_staleness=self.config.hub_staleness
-        )
-        self.rebuilds = 0
-        self.fallbacks = 0
-        self.patched_batches = 0
-        self._states: dict[str, StateBundle] = {}
-        self.base_engine = MixenEngine(graph, **engine_options)
-        self.base_engine.prepare()
-        self._stamp_certificate()
-
-    # ------------------------------------------------------------------ #
-    # updates
-    # ------------------------------------------------------------------ #
-    def apply(self, batch: UpdateBatch) -> ApplyReport:
-        """Commit one batch: patch the CSR, fold the overlay and the
-        classifier, advance the epoch, and rebuild past the
-        degradation threshold.
-
-        Transactional: the ``update_apply`` fault site fires before any
-        state mutates, and batch validation errors raise before the
-        graph is touched — a failed apply leaves the engine exactly at
-        its pre-call epoch, so the caller can retry.
-        """
-        new_graph, fell_back = checked_apply(self.graph, batch)
-        if fell_back:
-            self.fallbacks += 1
-        else:
-            self.patched_batches += 1
-        self.graph = new_graph
-        reclassified = self.classifier.apply(batch)
-        self.overlay = self.overlay.merged(batch, new_graph.num_nodes)
-        self.epoch += 1
-        rebuilt = False
-        if self._degraded():
-            self.rebuild()
-            rebuilt = True
-        return ApplyReport(
-            epoch=self.epoch,
-            reclassified=reclassified,
-            fell_back=fell_back,
-            rebuilt=rebuilt,
-            spill_fraction=self.spill_fraction,
-            class_churn=self.classifier.class_churn,
-        )
-
-    def _degraded(self) -> bool:
-        cfg = self.config
-        return (
-            self.spill_fraction > cfg.max_spill_fraction
-            or self.classifier.class_churn > cfg.max_class_churn
-        )
-
-    def rebuild(self) -> None:
-        """Rebuild the full base layout on the current graph and reset
-        the overlay and churn counters (warm-start states survive:
-        they live in original node ids, which rebuilds never change)."""
-        self.base_engine = MixenEngine(self.graph, **self.engine_options)
-        self.base_engine.prepare()
-        self.overlay = SpillOverlay.empty()
-        self.classifier.reset_churn()
-        self.base_epoch = self.epoch
-        self.rebuilds += 1
-        self._stamp_certificate()
-
-    def _stamp_certificate(self) -> None:
-        """Re-key the freshly minted layout certificate to this epoch —
-        its content-addressed id then vouches for exactly this version
-        of the edge set (a stale-epoch certificate id can never match)."""
-        cert = self.base_engine.certificate
-        if cert is not None:
-            self.base_engine.certificate = replace(cert, epoch=self.epoch)
-
-    # ------------------------------------------------------------------ #
-    # propagation and re-scoring
-    # ------------------------------------------------------------------ #
-    def propagate(self, xs: np.ndarray) -> np.ndarray:
-        """Full-graph ``y = A^T xs`` at the **current** epoch: the
-        frozen base layout's propagation plus the overlay's exact
-        linear correction."""
-        y = self.base_engine.propagate(xs)
-        if self.overlay.num_spilled == 0:
-            return y
-        return y + self.overlay.correction(
-            np.asarray(xs, dtype=y.dtype), self.graph.num_nodes
-        )
-
-    def rescore(
-        self,
-        algorithm,
-        *,
-        max_iterations: int = 20,
-        check_convergence: bool = True,
-    ) -> EpochResult:
-        """Scores of ``algorithm`` at the current epoch.
-
-        Exact mode (``tolerance == 0``): rebuild when the base layout
-        is stale, then cold-solve on it — bit-identical to building a
-        fresh engine on the current graph.  Delta mode: warm-start from
-        the previous epoch's state through the overlay-corrected
-        propagation, stopping at the residual tolerance.
-        """
-        t0 = time.perf_counter()
-        if self.config.tolerance == 0.0:
-            if self.overlay.num_spilled or self.base_epoch != self.epoch:
-                self.rebuild()
-            result = self.base_engine.run(
-                algorithm,
-                max_iterations=max_iterations,
-                check_convergence=check_convergence,
-            )
-            return EpochResult(
-                scores=result.scores,
-                iterations=result.iterations,
-                converged=result.converged,
-                epoch=self.epoch,
-                mode="cold-rebuild",
-                residual=0.0,
-                seconds=time.perf_counter() - t0,
-                certificate_id=result.certificate_id,
-            )
-        from ..algorithms.base import AlgorithmStep
-
-        step = AlgorithmStep(algorithm, self.graph)
-        wrapped = ResidualStep(step, self.config.tolerance)
-        key = f"{algorithm.name}:{getattr(algorithm, 'rank', 1)}"
-        stored = self._states.get(key)
-        state0 = (
-            stored if stored is not None
-            else StateBundle.wrap(step.initial_state())
-        )
-        driver = IterationDriver(
-            wrapped,
-            max_iterations=max_iterations,
-            check_convergence=check_convergence,
-            call=self.propagate,
-        )
-        outcome = driver.run(state0)
-        self._states[key] = outcome.state.copy()
-        certificate = self.base_engine.certificate
-        return EpochResult(
-            scores=np.asarray(step.scores(outcome.state)),
-            iterations=outcome.iterations,
-            converged=outcome.converged,
-            epoch=self.epoch,
-            mode="warm-delta" if stored is not None else "warm-initial",
-            residual=wrapped.last_residual,
-            seconds=time.perf_counter() - t0,
-            certificate_id=(
-                None if certificate is None
-                else certificate.certificate_id
-            ),
-        )
-
-    def forget_states(self) -> None:
-        """Drop all warm-start bundles (the next rescore is cold)."""
-        self._states.clear()
-
-    # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def spill_fraction(self) -> float:
-        """Overlay size relative to the base layout's edge count."""
-        return self.overlay.spill_fraction(
-            self.base_engine.graph.num_edges
-        )
-
-    def spill_stats(self) -> SpillBinStats:
-        """Per-block concentration of the overlay on the base layout."""
-        return spill_bin_stats(
-            self.overlay,
-            self.base_engine.plan,
-            self.base_engine.block_nodes,
-        )
-
-    def stats(self) -> dict:
-        """One JSON-friendly card of the epoch layer's state."""
-        spill = self.spill_stats()
-        return {
-            "epoch": self.epoch,
-            "base_epoch": self.base_epoch,
-            "num_nodes": self.graph.num_nodes,
-            "num_edges": self.graph.num_edges,
-            "spill_fraction": self.spill_fraction,
-            "spilled_edges": self.overlay.num_spilled,
-            "spill_blocks_touched": spill.blocks_touched,
-            "max_block_spill": spill.max_block_spill,
-            "class_churn": self.classifier.class_churn,
-            "hub_refreshes": self.classifier.hub_refreshes,
-            "patched_batches": self.patched_batches,
-            "fallbacks": self.fallbacks,
-            "rebuilds": self.rebuilds,
-            "tolerance": self.config.tolerance,
-            "max_spill_fraction": self.config.max_spill_fraction,
-            "max_class_churn": self.config.max_class_churn,
-        }

@@ -25,7 +25,6 @@ import numpy as np
 from ..errors import GraphFormatError
 from ..graphs.csr import CSR
 from ..graphs.graph import Graph
-from ..types import VALUE_DTYPE, VID_DTYPE
 from .filtering import FilterPlan
 
 
@@ -94,95 +93,6 @@ class MixedGraph:
             + self.seed_to_reg.nbytes(id_bytes=id_bytes)
             + self.sink_csc.nbytes(id_bytes=id_bytes)
         )
-
-
-@dataclass(frozen=True)
-class SpillOverlay:
-    """Bounded spill lists: edges inserted/deleted since the base mixed
-    layout was built, in **original** node ids (DESIGN 4i).
-
-    The base layout stays frozen across epochs; propagation through the
-    current graph is the base result plus this overlay's linear
-    correction — exact, because SpMV is linear in the edge set:
-    ``y = y_base + Σ xs[src] at dst (inserts) − Σ xs[src] at dst
-    (deletes)``.  Insert and delete lists are kept disjoint: an edge
-    deleted and later re-inserted (or vice versa) cancels out of the
-    overlay entirely, so the spill fraction measures genuine drift from
-    the base layout, not churn.
-    """
-
-    insert_src: np.ndarray
-    insert_dst: np.ndarray
-    delete_src: np.ndarray
-    delete_dst: np.ndarray
-
-    @classmethod
-    def empty(cls) -> "SpillOverlay":
-        """An overlay with no spilled edges."""
-        zero = np.empty(0, dtype=VID_DTYPE)
-        return cls(zero, zero, zero, zero)
-
-    @property
-    def num_spilled(self) -> int:
-        """Total spilled edge count (inserts + deletes)."""
-        return int(self.insert_src.size + self.delete_src.size)
-
-    def spill_fraction(self, base_edges: int) -> float:
-        """Spilled edges relative to the base layout's edge count —
-        the degradation-threshold signal."""
-        return self.num_spilled / max(int(base_edges), 1)
-
-    def merged(self, batch, num_nodes: int) -> "SpillOverlay":
-        """Fold one applied update batch into the overlay, cancelling
-        insert-then-delete (and delete-then-reinsert) pairs."""
-        n = int(num_nodes)
-        ins = self.insert_src.astype(np.int64) * n + self.insert_dst
-        dels = self.delete_src.astype(np.int64) * n + self.delete_dst
-        b_ins = batch.insert_src.astype(np.int64) * n + batch.insert_dst
-        b_del = batch.delete_src.astype(np.int64) * n + batch.delete_dst
-        # a batch insert of an edge the overlay deleted restores the
-        # base edge; a batch delete of an overlay insert removes it.
-        new_ins = np.union1d(
-            np.setdiff1d(ins, b_del), np.setdiff1d(b_ins, dels)
-        )
-        new_del = np.union1d(
-            np.setdiff1d(dels, b_ins), np.setdiff1d(b_del, ins)
-        )
-        return SpillOverlay(
-            (new_ins // n).astype(VID_DTYPE),
-            (new_ins % n).astype(VID_DTYPE),
-            (new_del // n).astype(VID_DTYPE),
-            (new_del % n).astype(VID_DTYPE),
-        )
-
-    def correction(self, xs: np.ndarray, num_nodes: int) -> np.ndarray:
-        """The overlay's exact linear correction to ``y = A^T xs``.
-
-        ``xs`` is the *pre-scaled* source vector (``(n,)`` or
-        ``(n, k)``); the result matches its shape.  Integer-valued
-        ``xs`` corrections are bitwise-exact (float64 integer sums are
-        order-independent below 2**53).
-        """
-        n = int(num_nodes)
-        if xs.ndim == 1:
-            out = np.zeros(n, dtype=VALUE_DTYPE)
-            if self.insert_src.size:
-                out += np.bincount(
-                    self.insert_dst,
-                    weights=xs[self.insert_src],
-                    minlength=n,
-                )
-            if self.delete_src.size:
-                out -= np.bincount(
-                    self.delete_dst,
-                    weights=xs[self.delete_src],
-                    minlength=n,
-                )
-            return out
-        out = np.zeros((n, xs.shape[1]), dtype=VALUE_DTYPE)
-        for col in range(xs.shape[1]):
-            out[:, col] = self.correction(xs[:, col], n)
-        return out
 
 
 def build_mixed(

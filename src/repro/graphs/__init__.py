@@ -2,7 +2,6 @@
 
 from .classify import (
     ConnectivityClasses,
-    IncrementalClassifier,
     classify_nodes,
     hub_edge_fraction,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "Graph",
     "GraphProfile",
     "GraphStats",
-    "IncrementalClassifier",
     "UpdateBatch",
     "SKEWED_NAMES",
     "apply_batch",

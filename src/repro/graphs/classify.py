@@ -106,109 +106,6 @@ def classify_nodes(graph: Graph) -> ConnectivityClasses:
     return ConnectivityClasses(classes, hub_mask, counts)
 
 
-class IncrementalClassifier:
-    """Maintains connectivity classes under edge updates (DESIGN 4i).
-
-    Classes stay **exact** after every batch: only the endpoints a
-    batch touches are reclassified, from degree arrays maintained in
-    place (a seed gaining an in-edge becomes regular; a regular node
-    losing its last out-edge becomes a sink; and so on).  Hub
-    membership is refreshed **lazily**: the ``m / n`` threshold is
-    pinned at the last refresh and touched nodes are re-tested against
-    the pinned value; once the edge count drifts past ``hub_staleness``
-    (relative to the refresh point) the whole mask is recomputed
-    against the current average degree.  Staleness only shifts which
-    regular nodes the next rebuild fronts as hubs — never the scores,
-    which are permutation-invariant.
-    """
-
-    def __init__(self, graph: Graph, *, hub_staleness: float = 0.5) -> None:
-        if hub_staleness < 0.0:
-            raise ValueError("hub_staleness must be non-negative")
-        self.num_nodes = graph.num_nodes
-        self.hub_staleness = float(hub_staleness)
-        self.out_deg = graph.out_degrees().astype(np.int64)
-        self.in_deg = graph.in_degrees().astype(np.int64)
-        self.num_edges = int(graph.num_edges)
-        snap = classify_nodes(graph)
-        self.classes = snap.classes.copy()
-        self.hub_mask = snap.hub_mask.copy()
-        self.counts = snap.counts.copy()
-        self.hub_threshold = graph.average_degree()
-        self._edges_at_refresh = self.num_edges
-        #: cumulative class reassignments since construction/reset —
-        #: the churn signal the epoch layer's degradation policy reads.
-        self.reclassified = 0
-        self.hub_refreshes = 0
-
-    def apply(self, batch) -> int:
-        """Fold one applied :class:`~repro.graphs.updates.UpdateBatch`
-        into the maintained state; returns how many nodes changed
-        class."""
-        np.add.at(self.out_deg, batch.insert_src, 1)
-        np.add.at(self.in_deg, batch.insert_dst, 1)
-        np.subtract.at(self.out_deg, batch.delete_src, 1)
-        np.subtract.at(self.in_deg, batch.delete_dst, 1)
-        self.num_edges += batch.num_inserts - batch.num_deletes
-        touched = batch.touched_nodes()
-        has_out = self.out_deg[touched] > 0
-        has_in = self.in_deg[touched] > 0
-        new_cls = np.full(
-            touched.size, np.int8(NodeClass.ISOLATED), dtype=np.int8
-        )
-        new_cls[has_in & has_out] = np.int8(NodeClass.REGULAR)
-        new_cls[~has_in & has_out] = np.int8(NodeClass.SEED)
-        new_cls[has_in & ~has_out] = np.int8(NodeClass.SINK)
-        old_cls = self.classes[touched]
-        changed = new_cls != old_cls
-        if np.any(changed):
-            self.counts -= np.bincount(
-                old_cls[changed], minlength=len(NodeClass)
-            )
-            self.counts += np.bincount(
-                new_cls[changed], minlength=len(NodeClass)
-            )
-            self.classes[touched] = new_cls
-        n_changed = int(np.count_nonzero(changed))
-        self.reclassified += n_changed
-        anchor = max(self._edges_at_refresh, 1)
-        drift = abs(self.num_edges - self._edges_at_refresh) / anchor
-        if drift > self.hub_staleness:
-            self.refresh_hubs()
-        else:
-            self.hub_mask[touched] = (
-                self.in_deg[touched] > self.hub_threshold
-            )
-        return n_changed
-
-    def refresh_hubs(self) -> None:
-        """Re-pin the hub threshold at the current ``m / n`` and
-        recompute the whole mask."""
-        self.hub_threshold = (
-            self.num_edges / self.num_nodes if self.num_nodes else 0.0
-        )
-        self.hub_mask = self.in_deg > self.hub_threshold
-        self._edges_at_refresh = self.num_edges
-        self.hub_refreshes += 1
-
-    @property
-    def class_churn(self) -> float:
-        """Cumulative reclassified-node fraction since the last reset."""
-        if self.num_nodes == 0:
-            return 0.0
-        return self.reclassified / self.num_nodes
-
-    def reset_churn(self) -> None:
-        """Zero the churn counter (called after a full rebuild)."""
-        self.reclassified = 0
-
-    def snapshot(self) -> ConnectivityClasses:
-        """An independent :class:`ConnectivityClasses` of current state."""
-        return ConnectivityClasses(
-            self.classes.copy(), self.hub_mask.copy(), self.counts.copy()
-        )
-
-
 def hub_edge_fraction(graph: Graph, hub_mask: np.ndarray) -> float:
     """Fraction of edges that point *into* a hub (Table 1's E_hub).
 

@@ -115,15 +115,6 @@ class UpdateBatch:
         """Total operation count."""
         return self.num_inserts + self.num_deletes
 
-    def touched_nodes(self) -> np.ndarray:
-        """Ascending unique ids of every endpoint the batch names."""
-        return np.unique(
-            np.concatenate([
-                self.insert_src, self.insert_dst,
-                self.delete_src, self.delete_dst,
-            ])
-        )
-
     def to_json(self) -> dict:
         """JSON-friendly form (the serve protocol's ``update`` op)."""
         return {

@@ -345,10 +345,10 @@ class FaultInjector:
 
     def update_apply(self) -> None:
         """Epoch-apply hook: probed at the start of every
-        :meth:`~repro.core.epoch.EpochEngine.apply` attempt, before any
-        engine state mutates (``site=update_apply`` specs: ``crash``
-        raises — the epoch stays clean and a retry succeeds — and
-        ``stall`` sleeps)."""
+        :func:`~repro.core.epoch.checked_apply` attempt, before the
+        graph is patched (``site=update_apply`` specs: ``crash``
+        raises — the graph and epoch stay clean and a retry succeeds —
+        and ``stall`` sleeps)."""
         call = self._bump("update_apply")
         for spec in self.specs:
             if spec.site != "update_apply":

@@ -32,7 +32,7 @@ from .drill import (
     verify_offline,
 )
 from .protocol import request, serve_socket
-from .server import BatchStat, MixenServer, ServeConfig, ServeReport
+from .server import MixenServer, ServeConfig, ServeReport
 from .store import (
     BootReport,
     LayoutStore,
@@ -58,7 +58,6 @@ __all__ = [
     "verify_offline",
     "request",
     "serve_socket",
-    "BatchStat",
     "MixenServer",
     "ServeConfig",
     "ServeReport",

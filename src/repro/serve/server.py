@@ -41,14 +41,16 @@ Robustness model (the PR 3–7 resilience machinery, held continuously):
   served score.
 
 Everything observable lands in a structured :class:`ServeReport`
-(admission counters, per-batch occupancy/rung/seconds, per-request
-latencies, downgrade events, breaker state).
+(admission, batch and downgrade counters, the rungs that served, a
+bounded window of request latencies, breaker state), so a long-running
+server holds bounded memory.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -66,7 +68,6 @@ from ..graphs.updates import UpdateBatch
 from ..parallel.threadpool import call_with_deadline
 from ..resilience import faults
 from ..resilience.executor import DEGRADATION_CHAIN, next_backend
-from ..resilience.report import DowngradeEvent
 from ..resilience.retry import RetryPolicy
 from .batcher import (
     BatchedPersonalizedPageRank,
@@ -129,22 +130,20 @@ class ServeConfig:
             )
 
 
-@dataclass(frozen=True)
-class BatchStat:
-    """One executed batch."""
-
-    batch_id: int
-    size: int
-    kernel: str
-    seconds: float
-    #: rungs stepped down during this batch (0 = clean).
-    downgrades: int
-    failed: bool
+#: request latencies a :class:`ServeReport` keeps for its quantiles:
+#: the most recent ones, so the report's memory stays bounded however
+#: long the server runs.
+LATENCY_WINDOW = 4096
 
 
 @dataclass
 class ServeReport:
-    """Structured observability of one serve session."""
+    """Structured observability of one serve session.
+
+    Every field is a counter or a bounded container: batches and
+    downgrades are counted, not listed, and latency quantiles cover the
+    last :data:`LATENCY_WINDOW` completed requests.
+    """
 
     fingerprint: str = ""
     store_hit: bool = False
@@ -155,9 +154,19 @@ class ServeReport:
     rejected_overload: int = 0
     rejected_deadline: int = 0
     failed: int = 0
-    batches: list[BatchStat] = field(default_factory=list)
-    downgrades: list[DowngradeEvent] = field(default_factory=list)
-    latencies: list[float] = field(default_factory=list)
+    #: executed batches, failed ones included.
+    batches: int = 0
+    #: requests those batches carried (the occupancy numerator).
+    batched_requests: int = 0
+    #: batches that exhausted the degradation ladder.
+    failed_batches: int = 0
+    #: rungs that completed at least one batch.
+    batch_kernels: set[str] = field(default_factory=set)
+    #: ladder steps taken across all batch attempts.
+    downgrades: int = 0
+    latencies: deque = field(
+        default_factory=lambda: deque(maxlen=LATENCY_WINDOW)
+    )
     pinned_kernel: str | None = None
     #: update batches committed (each advances the epoch by one).
     updates_applied: int = 0
@@ -169,11 +178,17 @@ class ServeReport:
     #: graph epoch at the end of the session.
     epoch: int = 0
 
+    def record_reply(self, latency: float) -> None:
+        """Count one completed request and keep its latency in the
+        window."""
+        self.completed += 1
+        self.latencies.append(latency)
+
     def occupancy(self) -> float:
         """Mean requests per executed batch (the amortization win)."""
         if not self.batches:
             return 0.0
-        return sum(b.size for b in self.batches) / len(self.batches)
+        return self.batched_requests / self.batches
 
     def latency_quantile(self, q: float) -> float:
         if not self.latencies:
@@ -195,12 +210,10 @@ class ServeReport:
             "rejected_overload": self.rejected_overload,
             "rejected_deadline": self.rejected_deadline,
             "failed": self.failed,
-            "batches": len(self.batches),
+            "batches": self.batches,
             "batch_occupancy": self.occupancy(),
-            "batch_kernels": sorted(
-                {b.kernel for b in self.batches if not b.failed}
-            ),
-            "downgrades": len(self.downgrades),
+            "batch_kernels": sorted(self.batch_kernels),
+            "downgrades": self.downgrades,
             "pinned_kernel": self.pinned_kernel,
             "latency_p50": self.latency_quantile(0.5),
             "latency_p95": self.latency_quantile(0.95),
@@ -227,9 +240,9 @@ class ServeReport:
                 f"{self.failed} failed"
             ),
             (
-                f"  batches: {len(self.batches)} "
+                f"  batches: {self.batches} "
                 f"(occupancy {self.occupancy():.2f}), "
-                f"{len(self.downgrades)} downgrades, "
+                f"{self.downgrades} downgrades, "
                 f"breaker {self.pinned_kernel or 'open'}"
             ),
         ]
@@ -550,25 +563,16 @@ class MixenServer:
         batch_id = self._next_batch
         self._next_batch += 1
         epoch = self.epoch
-        t0 = time.perf_counter()
+        self.report.batches += 1
+        self.report.batched_requests += len(ready)
         try:
             result, rung, downgrades = await asyncio.to_thread(
                 self._run_batch, batch_id, ready
             )
         except ServeError as exc:
-            seconds = time.perf_counter() - t0
             self.report.failed += len(ready)
-            self.report.batches.append(
-                BatchStat(
-                    batch_id,
-                    len(ready),
-                    DEGRADATION_CHAIN[-1],
-                    seconds,
-                    getattr(exc, "downgrades", 0),
-                    True,
-                )
-            )
-            self._note_trouble("bincount")
+            self.report.failed_batches += 1
+            self._note_trouble(DEGRADATION_CHAIN[-1])
             for request in ready:
                 request.future.set_exception(
                     ServeError(
@@ -577,12 +581,7 @@ class MixenServer:
                     )
                 )
             return
-        seconds = time.perf_counter() - t0
-        self.report.batches.append(
-            BatchStat(
-                batch_id, len(ready), rung, seconds, downgrades, False
-            )
-        )
+        self.report.batch_kernels.add(rung)
         if downgrades:
             self._note_trouble(rung)
         else:
@@ -591,8 +590,7 @@ class MixenServer:
         scores = result.scores
         for column, request in enumerate(ready):
             latency = now - request.enqueued
-            self.report.completed += 1
-            self.report.latencies.append(latency)
+            self.report.record_reply(latency)
             request.future.set_result(
                 QueryResult(
                     request_id=request.request_id,
@@ -649,18 +647,12 @@ class MixenServer:
                 )
             except Exception as exc:
                 lower = next_backend(rung)
-                self.report.downgrades.append(
-                    DowngradeEvent(
-                        batch_id, rung, lower or "(floor)", repr(exc)
-                    )
-                )
+                self.report.downgrades += 1
                 if lower is None:
-                    floor_error = ServeError(
+                    raise ServeError(
                         f"batch {batch_id} failed on the serial floor: "
                         f"{exc!r}"
-                    )
-                    floor_error.downgrades = downgrades
-                    raise floor_error from exc
+                    ) from exc
                 rung = lower
                 downgrades += 1
                 attempt += 1

@@ -329,7 +329,7 @@ class LayoutStore:
 def _stamp_epoch(engine, epoch: int) -> None:
     """Re-key the engine's layout certificate to the served epoch so
     its content-addressed id vouches for exactly this edge-set
-    version (mirrors ``EpochEngine._stamp_certificate``)."""
+    version (a stale-epoch certificate id can never match)."""
     from dataclasses import replace
 
     cert = getattr(engine, "certificate", None)

@@ -1,27 +1,19 @@
-"""The epoch-versioned mutable layout (DESIGN 4i): oracle bit-identity,
-overlay-exact propagation, warm-delta convergence, degradation-driven
-rebuilds, and the transactional fault sites."""
+"""The one graph-update path (DESIGN 4i): a ``checked_apply`` chain stays
+bit-identical to the from-scratch oracle, its fault sites are
+transactional or fall back bitwise, and artifacts carry the epoch."""
 
 import numpy as np
 import pytest
 
 from repro.algorithms import ALGORITHMS
-from repro.core import (
-    EpochConfig,
-    EpochEngine,
-    MixenEngine,
-    checked_apply,
-)
-from repro.errors import InjectedFault, StaleEpochError, UpdateError
+from repro.core import MixenEngine, checked_apply
+from repro.errors import InjectedFault, StaleEpochError
 from repro.graphs.generators import rmat
-from repro.graphs.updates import (
-    UpdateBatch,
-    random_batches,
-    rebuild_from_batch,
-)
+from repro.graphs.updates import random_batches, rebuild_from_batch
 from repro.resilience import faults
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.faults import parse_fault_spec
+from repro.serve.store import _stamp_epoch
 
 
 @pytest.fixture(autouse=True)
@@ -35,223 +27,91 @@ def _pagerank():
     return ALGORITHMS["pagerank"]()
 
 
-class TestConfig:
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(UpdateError, match="non-negative"):
-            EpochConfig(tolerance=-1.0)
-
-    def test_nonpositive_thresholds_rejected(self):
-        with pytest.raises(UpdateError, match="positive"):
-            EpochConfig(max_spill_fraction=0.0)
-        with pytest.raises(UpdateError, match="positive"):
-            EpochConfig(max_class_churn=-0.1)
-
-    def test_weighted_graphs_rejected(self, tiny_graph):
-        with pytest.raises(UpdateError, match="weighted"):
-            EpochEngine(
-                tiny_graph, edge_values=np.ones(tiny_graph.num_edges)
-            )
+def _scores(graph, **options):
+    """Scores of a short fixed-budget PageRank on a fresh engine."""
+    engine = MixenEngine(graph, kernel="bincount", **options)
+    engine.prepare()
+    return engine.run(
+        _pagerank(), max_iterations=3, check_convergence=False
+    ).scores
 
 
 class TestExactOracle:
-    """tolerance == 0.0 is the bitwise contract: incremental layout +
-    rescore equals from-scratch rebuild + cold solve, exactly."""
+    """The patch-then-rebuild contract: a ``checked_apply`` chain plus a
+    fresh engine equals the from-scratch rebuild plus a cold solve,
+    exactly."""
 
     def test_oracle_equality_100_batches(self):
         graph = rmat(7, 5, seed=21)
-        engine = EpochEngine(
-            graph, config=EpochConfig(tolerance=0.0),
-            kernel="bincount", block_nodes=64,
-        )
-        oracle = graph
-        algorithm = _pagerank()
+        current = oracle = graph
         for index, batch in enumerate(
             random_batches(graph, 100, 8, seed=22)
         ):
-            engine.apply(batch)
+            current, fell_back = checked_apply(current, batch)
             oracle = rebuild_from_batch(oracle, batch)
+            assert not fell_back
             # adjacency identity every batch, score identity sampled
             # (a cold solve per batch x100 keeps the suite honest but
             # need not run every time to pin the contract)
             np.testing.assert_array_equal(
-                engine.graph.csr.indptr, oracle.csr.indptr
+                current.csr.indptr, oracle.csr.indptr
             )
             np.testing.assert_array_equal(
-                engine.graph.csr.indices, oracle.csr.indices
+                current.csr.indices, oracle.csr.indices
             )
             if index % 10 == 9:
-                warm = engine.rescore(
-                    algorithm, max_iterations=3,
-                    check_convergence=False,
-                )
-                fresh = MixenEngine(
-                    oracle, kernel="bincount", block_nodes=64
-                )
-                fresh.prepare()
-                cold = fresh.run(
-                    algorithm, max_iterations=3,
-                    check_convergence=False,
-                )
                 np.testing.assert_array_equal(
-                    warm.scores, cold.scores
+                    _scores(current, block_nodes=64),
+                    _scores(oracle, block_nodes=64),
                 )
-                assert warm.mode == "cold-rebuild"
-                assert warm.epoch == index + 1
-        assert engine.epoch == 100
 
-    def test_rescore_reports_certificate(self, random_graph):
-        engine = EpochEngine(random_graph, kernel="bincount")
-        result = engine.rescore(_pagerank(), max_iterations=2,
-                                check_convergence=False)
-        assert result.certificate_id is not None
-        assert result.residual == 0.0
-
-
-class TestOverlayPropagation:
-    def test_integer_propagate_bitwise(self, random_graph):
-        config = EpochConfig(
-            tolerance=1e-6, max_spill_fraction=10.0, max_class_churn=10.0
-        )
-        engine = EpochEngine(random_graph, config=config, kernel="bincount")
-        graph = random_graph
-        for batch in random_batches(graph, 5, 40, seed=31):
-            engine.apply(batch)
-            graph = rebuild_from_batch(graph, batch)
-        assert engine.overlay.num_spilled > 0  # overlay path exercised
-        rng = np.random.default_rng(32)
-        x = rng.integers(0, 50, graph.num_nodes).astype(np.float64)
-        fresh = MixenEngine(graph, kernel="bincount")
-        fresh.prepare()
-        # integer-valued x: every partial sum is exact, so base+overlay
-        # must agree with the monolithic layout bit for bit.
-        np.testing.assert_array_equal(
-            engine.propagate(x), fresh.propagate(x)
-        )
-
-
-class TestWarmDelta:
-    def test_warm_scores_within_residual_bound(self, random_graph):
-        tol = 1e-10
-        config = EpochConfig(
-            tolerance=tol, max_spill_fraction=10.0, max_class_churn=10.0
-        )
-        engine = EpochEngine(random_graph, config=config, kernel="bincount")
-        algorithm = _pagerank()
-        engine.rescore(algorithm, max_iterations=300)
-        graph = random_graph
-        for batch in random_batches(graph, 3, 16, seed=41):
-            engine.apply(batch)
-            graph = rebuild_from_batch(graph, batch)
-        warm = engine.rescore(algorithm, max_iterations=300)
-        assert warm.mode == "warm-delta"
-        assert warm.converged
-        assert warm.residual <= 100 * tol
-        fresh = MixenEngine(graph, kernel="bincount")
-        fresh.prepare()
-        cold = fresh.run(_pagerank(), max_iterations=300)
-        # d = 0.85 contraction: ||warm - cold||_1 <= 2d/(1-d) * tol,
-        # plus the cold run's own convergence slack.
-        gap = float(np.abs(warm.scores - cold.scores).sum())
-        assert gap <= 1e-6
-
-    def test_warm_start_reuses_state(self, random_graph):
-        config = EpochConfig(tolerance=1e-8)
-        engine = EpochEngine(random_graph, config=config, kernel="bincount")
-        algorithm = _pagerank()
-        first = engine.rescore(algorithm, max_iterations=300)
-        again = engine.rescore(algorithm, max_iterations=300)
-        assert first.mode == "warm-initial"
-        assert again.mode == "warm-delta"
-        assert again.iterations <= first.iterations
-
-    def test_forget_states_goes_cold(self, random_graph):
-        config = EpochConfig(tolerance=1e-8)
-        engine = EpochEngine(random_graph, config=config, kernel="bincount")
-        engine.rescore(_pagerank(), max_iterations=50)
-        engine.forget_states()
-        result = engine.rescore(_pagerank(), max_iterations=50)
-        assert result.mode == "warm-initial"
-
-
-class TestDegradation:
-    def test_spill_threshold_forces_rebuild(self, random_graph):
-        config = EpochConfig(
-            tolerance=1e-6, max_spill_fraction=0.005, max_class_churn=10.0
-        )
-        engine = EpochEngine(random_graph, config=config, kernel="bincount")
-        report = None
-        for batch in random_batches(random_graph, 20, 16, seed=51):
-            report = engine.apply(batch)
-            if report.rebuilt:
-                break
-        assert report is not None and report.rebuilt
-        assert engine.rebuilds == 1
-        assert engine.spill_fraction == 0.0
-        assert engine.base_epoch == engine.epoch
-        assert engine.overlay.num_spilled == 0
-
-    def test_churn_threshold_forces_rebuild(self, random_graph):
-        config = EpochConfig(
-            tolerance=1e-6, max_spill_fraction=10.0,
-            max_class_churn=0.5 / random_graph.num_nodes,
-        )
-        engine = EpochEngine(random_graph, config=config, kernel="bincount")
-        # give a seed node (no in-edges) an in-edge: it turns regular,
-        # which is one reclassification -- enough to trip the threshold
-        in_deg = random_graph.in_degrees()
-        seed_node = int(np.argmin(in_deg))
-        assert in_deg[seed_node] == 0
-        other = (seed_node + 1) % random_graph.num_nodes
-        batch = UpdateBatch.from_pairs(inserts=[(other, seed_node)])
-        report = engine.apply(batch)
-        assert report.reclassified >= 1
-        assert report.rebuilt
-        assert engine.classifier.class_churn == 0.0
-
-    def test_stats_card(self, random_graph):
-        engine = EpochEngine(random_graph, kernel="bincount")
-        card = engine.stats()
-        assert card["epoch"] == 0
-        assert card["num_edges"] == random_graph.num_edges
-        assert card["spill_fraction"] == 0.0
+    def test_fresh_engine_reports_epoch_certificate(self, random_graph):
+        (batch,) = random_batches(random_graph, 1, 8, seed=23)
+        updated, _ = checked_apply(random_graph, batch)
+        engine = MixenEngine(updated, kernel="bincount")
+        engine.prepare()
+        _stamp_epoch(engine, 1)
+        result = engine.run(_pagerank(), max_iterations=2,
+                            check_convergence=False)
+        assert engine.certificate.epoch == 1
+        assert result.certificate_id == engine.certificate.certificate_id
 
 
 class TestFaultSites:
     def test_crashed_apply_is_transactional(self, random_graph):
-        engine = EpochEngine(random_graph, kernel="bincount")
         (batch,) = random_batches(random_graph, 1, 8, seed=61)
+        before = random_graph.csr.indices.copy()
         faults.install(
             parse_fault_spec("crash:site=update_apply,times=1")
         )
-        before = engine.graph.csr.indices
         with pytest.raises(InjectedFault):
-            engine.apply(batch)
-        assert engine.epoch == 0
-        assert engine.graph.csr.indices is before
+            checked_apply(random_graph, batch)
+        np.testing.assert_array_equal(random_graph.csr.indices, before)
         # the retry lands cleanly
-        report = engine.apply(batch)
-        assert report.epoch == 1 and not report.fell_back
+        new_graph, fell_back = checked_apply(random_graph, batch)
+        assert not fell_back
+        oracle = rebuild_from_batch(random_graph, batch)
+        np.testing.assert_array_equal(
+            new_graph.csr.indices, oracle.csr.indices
+        )
 
     def test_corrupted_patch_falls_back_bitwise(self, random_graph):
-        engine = EpochEngine(random_graph, kernel="bincount")
         (batch,) = random_batches(random_graph, 1, 8, seed=62)
         oracle = rebuild_from_batch(random_graph, batch)
         faults.install(
             parse_fault_spec("corrupt:site=update_patch,value=7,times=1")
         )
-        report = engine.apply(batch)
-        assert report.fell_back
-        assert engine.fallbacks == 1
+        new_graph, fell_back = checked_apply(random_graph, batch)
+        assert fell_back
         np.testing.assert_array_equal(
-            engine.graph.csr.indices, oracle.csr.indices
+            new_graph.csr.indptr, oracle.csr.indptr
         )
-        warm = engine.rescore(_pagerank(), max_iterations=3,
-                              check_convergence=False)
-        fresh = MixenEngine(oracle, kernel="bincount")
-        fresh.prepare()
-        cold = fresh.run(_pagerank(), max_iterations=3,
-                         check_convergence=False)
-        np.testing.assert_array_equal(warm.scores, cold.scores)
+        np.testing.assert_array_equal(
+            new_graph.csr.indices, oracle.csr.indices
+        )
+        np.testing.assert_array_equal(
+            _scores(new_graph), _scores(oracle)
+        )
 
     def test_checked_apply_clean_path(self, random_graph):
         (batch,) = random_batches(random_graph, 1, 8, seed=63)

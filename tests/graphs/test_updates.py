@@ -1,11 +1,10 @@
-"""Edge update streams: batch validation, the incremental patch vs
-from-scratch oracle contract, and incremental class maintenance."""
+"""Edge update streams: batch validation and the incremental patch vs
+from-scratch oracle contract."""
 
 import numpy as np
 import pytest
 
 from repro.errors import UpdateError
-from repro.graphs.classify import IncrementalClassifier, classify_nodes
 from repro.graphs.generators import rmat, uniform_random
 from repro.graphs.updates import (
     UpdateBatch,
@@ -24,14 +23,10 @@ class TestUpdateBatchValidation:
         assert batch.num_inserts == 2
         assert batch.num_deletes == 1
         assert batch.size == 3
-        np.testing.assert_array_equal(
-            batch.touched_nodes(), [0, 1, 2, 3, 4, 5]
-        )
 
     def test_empty(self):
         batch = UpdateBatch.empty()
         assert batch.size == 0
-        assert batch.touched_nodes().size == 0
 
     def test_length_mismatch_is_typed(self):
         ids = np.arange(3, dtype=np.int32)
@@ -160,35 +155,3 @@ class TestRandomBatches:
             random_batches(tiny_graph, -1, 4)
         with pytest.raises(UpdateError):
             random_batches(tiny_graph, 1, 0)
-
-
-class TestIncrementalClassifier:
-    def test_matches_full_reclassify_after_stream(self):
-        graph = rmat(8, 6, seed=11)
-        inc = IncrementalClassifier(graph, hub_staleness=0.5)
-        for batch in random_batches(graph, 12, 20, seed=12):
-            graph = apply_batch(graph, batch)
-            inc.apply(batch)
-        full = classify_nodes(graph)
-        np.testing.assert_array_equal(inc.classes, full.classes)
-        np.testing.assert_array_equal(inc.counts, full.counts)
-
-    def test_hub_mask_exact_after_refresh(self):
-        graph = rmat(7, 5, seed=4)
-        inc = IncrementalClassifier(graph, hub_staleness=0.5)
-        for batch in random_batches(graph, 10, 30, seed=5):
-            graph = apply_batch(graph, batch)
-            inc.apply(batch)
-        inc.refresh_hubs()
-        full = classify_nodes(graph)
-        np.testing.assert_array_equal(inc.hub_mask, full.hub_mask)
-
-    def test_churn_accumulates_and_resets(self):
-        graph = rmat(7, 5, seed=9)
-        inc = IncrementalClassifier(graph)
-        for batch in random_batches(graph, 4, 16, seed=10):
-            graph = apply_batch(graph, batch)
-            inc.apply(batch)
-        assert inc.class_churn >= 0.0
-        inc.reset_churn()
-        assert inc.class_churn == 0.0

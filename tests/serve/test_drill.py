@@ -82,7 +82,7 @@ class TestRunDrill:
         assert report.boot.rebuilt
         assert "corrupt artifact" in report.boot.miss_reason
         # ... the batch crashes walked the ladder ...
-        assert len(report.serve.downgrades) == 2
+        assert report.serve.downgrades == 2
         # ... nothing stalled, and every completed answer is bitwise
         # identical to the fault-free offline reference.
         assert report.completed + sum(report.errors.values()) == 10

@@ -9,7 +9,14 @@ import pytest
 from repro.errors import DeadlineExpired, ServeError, ServerOverload
 from repro.resilience import faults
 from repro.resilience.retry import RetryPolicy
-from repro.serve import LayoutStore, MixenServer, ServeConfig, boot_engine
+from repro.serve import (
+    LayoutStore,
+    MixenServer,
+    ServeConfig,
+    ServeReport,
+    boot_engine,
+)
+from repro.serve.server import LATENCY_WINDOW
 
 
 @pytest.fixture
@@ -138,11 +145,8 @@ class TestDegradationLadder:
         assert all(not isinstance(o, Exception) for o in outcomes)
         # parallel crashed once -> the whole batch restarted on reduceat.
         assert {o.kernel for o in outcomes} == {"reduceat"}
-        assert len(server.report.downgrades) == 1
-        event = server.report.downgrades[0]
-        assert (event.from_kernel, event.to_kernel) == (
-            "parallel", "reduceat"
-        )
+        assert server.report.downgrades == 1
+        assert server.report.batch_kernels == {"reduceat"}
 
     def test_auto_serves_from_reduceat(self, random_graph, tmp_path):
         engine, _ = boot_engine(
@@ -159,10 +163,7 @@ class TestDegradationLadder:
             faults.clear()
         # the ladder below auto is reduceat -> bincount
         assert outcomes[0].kernel == "bincount"
-        event = server.report.downgrades[0]
-        assert (event.from_kernel, event.to_kernel) == (
-            "reduceat", "bincount"
-        )
+        assert server.report.downgrades == 1
 
     def test_ladder_exhaustion_fails_typed(self, served_engine):
         engine, _ = served_engine
@@ -177,7 +178,8 @@ class TestDegradationLadder:
         assert isinstance(outcomes[0], ServeError)
         assert "degradation ladder" in str(outcomes[0])
         assert server.report.failed == 1
-        assert server.report.batches[0].failed
+        assert server.report.failed_batches == server.report.batches == 1
+        assert server.report.batch_kernels == set()
 
     def test_breaker_pins_after_consecutive_trouble(
         self, served_engine
@@ -200,7 +202,7 @@ class TestDegradationLadder:
         assert server.report.pinned_kernel == "bincount"
         # Batch 2 starts directly at the pinned rung, no new downgrade.
         assert second[0].kernel == "bincount"
-        assert len(server.report.downgrades) == 2
+        assert server.report.downgrades == 2
 
     def test_clean_batches_reset_trouble(self, served_engine):
         engine, _ = served_engine
@@ -240,3 +242,21 @@ class TestHealth:
             assert result.scores.flags["C_CONTIGUOUS"]
             assert result.scores.ndim == 1
             assert np.isfinite(result.scores).all()
+
+
+class TestServeReport:
+    def test_memory_bounded_by_latency_window(self):
+        report = ServeReport()
+        replies = 10**5
+        for i in range(replies):
+            report.record_reply(float(i))
+        assert report.completed == replies
+        assert len(report.latencies) <= LATENCY_WINDOW
+        # quantiles cover the most recent window only
+        assert report.latency_quantile(0.0) == replies - len(
+            report.latencies
+        )
+        assert report.latency_quantile(1.0) == replies - 1
+        card = report.to_json()
+        assert card["completed"] == replies
+        assert card["latency_p50"] >= replies - LATENCY_WINDOW
