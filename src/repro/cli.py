@@ -52,7 +52,7 @@ Failures exit with structured codes (see
 other resilience faults 9, proof failures 10, serve-layer failures
 (overload sheds, expired deadlines, drill mismatches) 11, update
 failures (malformed or rejected update batches, stale-epoch
-artifacts) 12, tuning failures (stale, mismatched or malformed
+checkpoints) 12, tuning failures (stale, mismatched or malformed
 tuned-config blobs) 13, any other
 :class:`~repro.errors.ReproError` 1 — each with a one-line
 ``error[Type]: ...`` summary on stderr.
@@ -245,9 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--store-dir", metavar="DIR",
         default="bench_results/layout_store",
-        help="persistent layout store root (default "
+        help="boot-layout cache root (default "
         "bench_results/layout_store); a second boot with the same "
-        "graph and layout options is warm",
+        "graph and block size is warm; layouts of later graph epochs "
+        "stay in memory",
     )
     serve.add_argument(
         "--kernel", choices=KERNEL_NAMES, default="reduceat",
@@ -962,7 +963,7 @@ def _cmd_serve_socket(
         )
         if args.expect_warm:
             ensure_warm(engine, boot)
-        server = MixenServer(engine, config=config, boot=boot, store=store)
+        server = MixenServer(engine, config=config, boot=boot)
 
         async def _run() -> None:
             ready = asyncio.Event()

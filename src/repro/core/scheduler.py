@@ -7,7 +7,8 @@ structures:
   the static bins once, then go inactive;
 * **Main-Phase** — the iterative SCGA loop over regular nodes only;
 * **Post-Phase** — after convergence (or the iteration cap), sink nodes
-  pull once from their in-neighbors' final values; isolated nodes apply the
+  pull once from the input of the last Main-Phase propagation, so a
+  T-iteration run returns every node at step T; isolated nodes apply the
   zero-input update.
 
 Results are assembled in the relabeled space and unpermuted at the end.
@@ -119,7 +120,7 @@ def run_schedule(
         call=kernel.iterate,
         fingerprint=_run_fingerprint(plan, algorithm, x_reg),
     )
-    outcome = driver.run({"x": x_reg})
+    outcome = driver.run({"x": x_reg, "x_in": x_reg})
     x_reg = outcome.state["x"]
     y_reg = (
         np.zeros_like(x_reg) if step.last_y is None else step.last_y
@@ -131,7 +132,8 @@ def run_schedule(
     # ---- Post-Phase --------------------------------------------------- #
     last_it = max(iterations - 1, 0)
     sources = np.concatenate(
-        [_scaled(x_reg, scale_p, reg_slice), xs_seed], axis=0
+        [_scaled(outcome.state["x_in"], scale_p, reg_slice), xs_seed],
+        axis=0,
     )
     sink_csc = mixed.sink_csc
     if sink_csc.num_rows:
@@ -214,10 +216,14 @@ def run_schedule(
 class _MainPhaseStep(BundleStep):
     """One Main-Phase iteration over the regular segment, as a driver
     step: scale, SCGA-propagate (through the resilient executor when
-    supervised), apply to regular nodes only.  The propagated ``y_reg``
-    stays outside the bundle (the evolving state is ``x`` alone, as in
-    the pre-driver loop); the last one feeds the Post-Phase and the
-    ``scores_from == "y"`` assembly."""
+    supervised), apply to regular nodes only.
+
+    The bundle carries the evolving ``x`` plus ``x_in``, the regular
+    state that fed the step's propagation: the Post-Phase sink pull
+    reads it, so sinks land at the same step as every other node, and
+    it is checkpointed with ``x``, so a resume at the loop's end still
+    has it.  The propagated ``y_reg`` stays outside the bundle; the
+    last one feeds the ``scores_from == "y"`` assembly."""
 
     def __init__(self, algorithm, graph, plan, scale_p, reg_slice):
         self.algorithm = algorithm
@@ -230,7 +236,10 @@ class _MainPhaseStep(BundleStep):
         self.last_y: np.ndarray | None = None
 
     def state_spec(self) -> tuple:
-        return self.algorithm.state_spec()
+        return (
+            *self.algorithm.state_spec(),
+            StateSpec("x_in", guarded=False),
+        )
 
     def step(self, state, iteration, ctx):
         algorithm = self.algorithm
@@ -245,19 +254,19 @@ class _MainPhaseStep(BundleStep):
                 y, iteration, nodes=self.plan.inverse[self.reg_slice]
             )
         )
-        return {"x": x_new}
+        return {"x": x_new, "x_in": x}
 
     def converged(self, old, new) -> bool:
         return self.algorithm.converged(old["x"], new["x"])
 
     def rehydrate(self, state, ctx) -> None:
-        """Recompute ``last_y`` from the restored regular segment when a
-        resume runs no Main-Phase step in this process (see
-        :meth:`repro.algorithms.base.AlgorithmStep.rehydrate`); without
-        it the ``scores_from == "y"`` assembly zero-fills."""
+        """Recompute ``last_y`` from the restored input of the last
+        propagation when a resume runs no Main-Phase step in this
+        process (see :meth:`repro.algorithms.base.AlgorithmStep.rehydrate`);
+        without it the ``scores_from == "y"`` assembly zero-fills."""
         if self.algorithm.scores_from != "y":
             return
-        xs = _scaled(state["x"], self.scale_p, self.reg_slice)
+        xs = _scaled(state["x_in"], self.scale_p, self.reg_slice)
         self.last_y = ctx.propagate(xs)
 
     def norm_limit(self) -> float | None:

@@ -229,7 +229,7 @@ class UpdateError(ReproError):
 
 class StaleEpochError(UpdateError):
     """An artifact produced against an older graph epoch was offered to
-    a newer one (checkpoint resume, layout-store boot, certificates).
+    a newer one (checkpoint resume, certificates).
 
     ``artifact_epoch`` is the epoch the artifact was produced against,
     ``current_epoch`` the epoch of the live graph.  Stale artifacts are
@@ -254,7 +254,7 @@ class TuningError(ReproError):
     choice outside the reordering registry.
 
     Stale blobs are refused — never silently applied — exactly like
-    stale-epoch artifacts; re-run ``python -m repro tune`` to mint a
+    stale-epoch checkpoints; re-run ``python -m repro tune`` to mint a
     fresh blob for the current graph.
     """
 

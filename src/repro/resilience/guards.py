@@ -299,7 +299,9 @@ class BundleGuard:
         names.  Raises :class:`~repro.errors.GuardError` under the
         ``raise`` policy, exactly like the scalar guard.
         """
-        labelled = len(new) > 1
+        labelled = (
+            sum(self._watched(n, np.asarray(new[n])) for n in new) > 1
+        )
         checked: dict = {}
         action = "ok"
         for name in new:

@@ -1,8 +1,8 @@
-"""Mixen-as-a-service: persistent layout store + batched query server.
+"""Mixen-as-a-service: persistent boot-layout cache + batched query server.
 
-* :mod:`repro.serve.store` — fingerprint-keyed, memory-mappable layout
-  artifacts with an atomic manifest; warm boots skip every
-  preprocessing sort.
+* :mod:`repro.serve.store` — fingerprint-keyed, memory-mappable boot
+  layout artifacts with an atomic manifest; warm boots skip every
+  preprocessing sort (later epochs' layouts stay in memory).
 * :mod:`repro.serve.batcher` — rank-K batched personalized PageRank
   (bitwise identical per column to rank-1 reference runs).
 * :mod:`repro.serve.server` — asyncio front-end with admission

@@ -65,7 +65,6 @@ class DrillReport:
                 "rebuilt": self.boot.rebuilt,
                 "seconds": self.boot.seconds,
                 "miss_reason": self.boot.miss_reason,
-                "epoch": self.boot.epoch,
             },
             "serve": self.serve.to_json(),
             "completed": self.completed,
@@ -159,16 +158,16 @@ def verify_offline(
     *,
     iterations: int,
     damping: float,
-    store: LayoutStore | None = None,
     block_nodes: int = 512,
-    tuned=None,
 ) -> tuple[int, list[str]]:
     """Check each served response bitwise against a fault-free offline
     rank-1 run on its reference kernel.
 
-    Fault injection is silenced for the duration (an empty installed
-    injector wins over ``REPRO_FAULTS``), so the reference runs are
-    genuinely fault-free even mid-drill.
+    The reference engines are always prepared fresh from ``graph``,
+    never loaded from a layout store, so a store fault cannot reach
+    the oracle.  Fault injection is silenced for the duration (an empty
+    installed injector wins over ``REPRO_FAULTS``), so the reference
+    runs are genuinely fault-free even mid-drill.
     """
     from ..core.engine import MixenEngine
 
@@ -181,21 +180,12 @@ def verify_offline(
             reference_kernel = REFERENCE_KERNELS[result.kernel]
             engine = engines.get(reference_kernel)
             if engine is None:
-                if store is not None:
-                    engine, _ = boot_engine(
-                        graph,
-                        store,
-                        kernel=reference_kernel,
-                        block_nodes=block_nodes,
-                        tuned=tuned,
-                    )
-                else:
-                    engine = MixenEngine(
-                        graph,
-                        kernel=reference_kernel,
-                        block_nodes=block_nodes,
-                    )
-                    engine.prepare()
+                engine = MixenEngine(
+                    graph,
+                    kernel=reference_kernel,
+                    block_nodes=block_nodes,
+                )
+                engine.prepare()
                 engines[reference_kernel] = engine
             offline = engine.run(
                 PersonalizedPageRank(sources, damping=damping),
@@ -275,9 +265,7 @@ def run_drill(
             served,
             iterations=server.config.iterations,
             damping=server.config.damping,
-            store=store,
             block_nodes=block_nodes,
-            tuned=tuned,
         )
     report = DrillReport(
         boot=boot,
@@ -342,7 +330,6 @@ class UpdateDrillReport:
                 "rebuilt": self.boot.rebuilt,
                 "seconds": self.boot.seconds,
                 "miss_reason": self.boot.miss_reason,
-                "epoch": self.boot.epoch,
             },
             "serve": self.serve.to_json(),
             "completed": self.completed,
@@ -454,8 +441,9 @@ def run_update_drill(
     valid); the offline graph versions are replayed through the
     independent :func:`~repro.graphs.updates.rebuild_from_batch`
     oracle, so the check covers the whole patched pipeline — CSR
-    patch, engine reboot, epoch-keyed store entries — not just the
-    scoring math.  Raises :class:`DrillMismatch` on any difference.
+    patch and in-memory engine rebuild — not just the scoring math.
+    ``store`` serves the epoch-0 boot only.  Raises
+    :class:`DrillMismatch` on any difference.
     """
     batches = random_batches(
         graph, updates, update_batch_size, seed=seed
@@ -478,9 +466,7 @@ def run_update_drill(
             block_nodes=block_nodes,
             tuned=tuned,
         )
-        server = MixenServer(
-            engine, config=config, boot=boot, store=store
-        )
+        server = MixenServer(engine, config=config, boot=boot)
         outcomes, applied, update_errors = asyncio.run(
             _drive_updates(server, groups, batches)
         )

@@ -30,8 +30,10 @@ Robustness model (the PR 3–7 resilience machinery, held continuously):
   windows: an update arriving mid-window closes the window, the
   collected queries execute at the pre-update epoch, and only then does
   the fault-probed :func:`~repro.core.epoch.checked_apply` commit the
-  batch, advance the epoch and swap in an engine rebooted (through the
-  epoch-keyed layout store when one is attached) on the updated graph.
+  batch, advance the epoch and swap in an engine freshly prepared in
+  memory on the updated graph.  Epochs live in memory only: the layout
+  store is a boot cache (a restarted server boots its configured graph
+  at epoch 0), so post-update layouts are never written to it.
   In-flight queries are never dropped and every
   :class:`~repro.serve.batcher.QueryResult` carries the epoch it was
   computed at.  A crashed apply (``crash:site=update_apply``) is
@@ -76,7 +78,7 @@ from .batcher import (
     normalize_sources,
     split_expired,
 )
-from .store import BootReport, LayoutStore, boot_engine
+from .store import BootReport
 
 
 @dataclass(frozen=True)
@@ -278,8 +280,7 @@ class MixenServer:
     admitting and shedding while a propagation runs.  Update batches
     ride the same queue (see the module docstring): they commit between
     batching windows, advance :attr:`epoch`, and swap the serving
-    engine for one rebooted on the updated graph — through the
-    epoch-keyed ``store`` when one is attached.
+    engine for one prepared in memory on the updated graph.
     """
 
     def __init__(
@@ -288,17 +289,14 @@ class MixenServer:
         *,
         config: ServeConfig | None = None,
         boot: BootReport | None = None,
-        store: LayoutStore | None = None,
     ) -> None:
         if not getattr(engine, "prepared", False):
             raise ServeError("MixenServer needs a prepared engine")
         self.engine = engine
         self.graph = engine.graph
-        self.store = store
-        self.epoch = 0 if boot is None else int(boot.epoch)
+        self.epoch = 0
         self.config = config or ServeConfig()
         self.report = ServeReport()
-        self.report.epoch = self.epoch
         if boot is not None:
             self.report.fingerprint = boot.fingerprint
             self.report.store_hit = boot.hit
@@ -514,36 +512,18 @@ class MixenServer:
     def _rebuild_for(self, batch: UpdateBatch):
         """Worker-thread body of one update: fault-probed patch, then a
         prepared engine on the updated graph at the next epoch."""
+        from ..core.engine import MixenEngine
         from ..core.epoch import checked_apply
 
         new_graph, fell_back = checked_apply(self.graph, batch)
-        next_epoch = self.epoch + 1
-        source = self.engine
-        options = dict(
-            block_nodes=source.block_nodes,
-            balance=source.balance,
-            max_load_factor=source.max_load_factor,
-            hub_reorder=source.hub_reorder,
-            cache_step=source.cache_step,
-            max_workers=source.max_workers,
+        engine = MixenEngine(
+            new_graph,
+            kernel=self._base_kernel,
+            block_nodes=self.engine.block_nodes,
+            max_workers=self.engine.max_workers,
         )
-        if self.store is not None:
-            engine, _ = boot_engine(
-                new_graph,
-                self.store,
-                kernel=self._base_kernel,
-                epoch=next_epoch,
-                **options,
-            )
-        else:
-            from ..core.engine import MixenEngine
-            from .store import _stamp_epoch
-
-            engine = MixenEngine(
-                new_graph, kernel=self._base_kernel, **options
-            )
-            engine.prepare()
-            _stamp_epoch(engine, next_epoch)
+        engine.prepare()
+        _stamp_epoch(engine, self.epoch + 1)
         return new_graph, engine, fell_back
 
     async def _execute(self, batch: list, loop) -> None:
@@ -659,3 +639,14 @@ class MixenServer:
                 delay = policy.delay(attempt)
                 if delay > 0:
                     time.sleep(delay)
+
+
+def _stamp_epoch(engine, epoch: int) -> None:
+    """Re-key the engine's layout certificate to the served epoch so
+    its content-addressed id vouches for exactly this edge-set
+    version (a stale-epoch certificate id can never match)."""
+    from dataclasses import replace
+
+    cert = getattr(engine, "certificate", None)
+    if cert is not None:
+        engine.certificate = replace(cert, epoch=int(epoch))

@@ -1,15 +1,20 @@
-"""Persistent, memory-mappable layout store for the serving layer.
+"""Persistent, memory-mappable boot cache of prepared layouts.
 
 Preprocessing (classification, relabeling, CSR/CSC splits, block
 layout, reduce and phase plans) is the expensive step — every sort the
 pipeline runs is O(m log m).  The store persists the *results* of those
-sorts as individual ``.npy`` artifacts keyed by a sha256 layout
-fingerprint (the same :func:`~repro.resilience.checkpoint.state_fingerprint`
-helper the checkpoint system uses), so a long-lived server boots in
-O(load): every array is ``np.load``-ed with ``mmap_mode="r"`` and the
-only recomputed pieces are the cheap Python-loop task list and the O(m)
-race proofs/certificates that :meth:`MixenEngine._prepare` would run
-anyway.
+sorts for a server's boot graph as individual ``.npy`` artifacts keyed
+by a sha256 layout fingerprint of the adjacency (the same
+:func:`~repro.resilience.checkpoint.state_fingerprint` helper the
+checkpoint system uses), so a restarted server boots in O(load): every
+array is ``np.load``-ed with ``mmap_mode="r"`` and the only recomputed
+pieces are the cheap Python-loop task list and the O(m) race
+proofs/certificates that :meth:`MixenEngine._prepare` would run anyway.
+
+It is a boot cache and nothing more: a restarted server always boots
+its configured graph at epoch 0, so the engines a server prepares for
+later graph epochs live in memory only and are never committed here
+(DESIGN 4i).
 
 Durability model (mirrors the checkpoint writer):
 
@@ -56,7 +61,7 @@ STORE_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
-#: reduce-plan streams persisted per plan prefix (plus optional values).
+#: reduce-plan streams persisted per plan prefix.
 _PLAN_STREAMS = (
     "src",
     "dst",
@@ -66,8 +71,7 @@ _PLAN_STREAMS = (
     "part_run_ptr",
 )
 
-#: layout arrays persisted per fingerprint; optional (value-carrying)
-#: arrays are present only for weighted graphs.
+#: layout arrays persisted per fingerprint.
 _REQUIRED_ARRAYS = (
     "perm",
     "inverse",
@@ -107,10 +111,8 @@ class BootReport:
     rebuilt: bool
     seconds: float
     #: why the store missed ("absent", "corrupt artifact ...",
-    #: "stale epoch ...").
+    #: "stale tuned config ...").
     miss_reason: str | None = None
-    #: graph epoch the booted layout serves (DESIGN 4i).
-    epoch: int = 0
 
 
 class LayoutStore:
@@ -326,17 +328,6 @@ class LayoutStore:
             return
 
 
-def _stamp_epoch(engine, epoch: int) -> None:
-    """Re-key the engine's layout certificate to the served epoch so
-    its content-addressed id vouches for exactly this edge-set
-    version (a stale-epoch certificate id can never match)."""
-    from dataclasses import replace
-
-    cert = getattr(engine, "certificate", None)
-    if cert is not None:
-        engine.certificate = replace(cert, epoch=int(epoch))
-
-
 def _file_digest(path: Path) -> str:
     import hashlib
 
@@ -350,34 +341,30 @@ def _file_digest(path: Path) -> str:
 # --------------------------------------------------------------------- #
 # engine <-> artifact conversion
 # --------------------------------------------------------------------- #
-def engine_fingerprint(graph, **options: Any) -> str:
-    """Layout fingerprint of ``graph`` under layout-shaping options.
+def engine_fingerprint(graph, *, block_nodes: int) -> str:
+    """Layout fingerprint of ``graph`` under the one layout-shaping
+    option a boot takes.
 
-    Keyed on the adjacency itself plus every option that changes the
-    prepared structures; kernel choice and worker counts do *not*
+    Keyed on the adjacency itself, so an updated graph can never load
+    another graph's layout; kernel choice and worker counts do *not*
     participate (the same layout serves every backend).
     """
-    edge_values = options.pop("edge_values", None)
-    parts: list[Any] = [
+    return state_fingerprint(
         "layout-store",
         STORE_VERSION,
         graph.num_nodes,
         graph.csr.indptr,
         graph.csr.indices,
-    ]
-    for key in sorted(options):
-        parts.append(f"{key}={options[key]!r}")
-    parts.append(
-        "unweighted"
-        if edge_values is None
-        else np.ascontiguousarray(edge_values)
+        f"block_nodes={block_nodes!r}",
     )
-    return state_fingerprint(*parts)
 
 
 def pack_engine(engine) -> tuple[dict[str, np.ndarray], dict]:
-    """Extract a prepared :class:`MixenEngine`'s layout as store
-    artifacts + JSON-safe metadata (inverse of :func:`install_layout`)."""
+    """Extract a prepared unweighted :class:`MixenEngine`'s layout as
+    store artifacts + JSON-safe metadata (inverse of
+    :func:`install_layout`)."""
+    if engine.edge_values is not None:
+        raise ServeError("the layout store holds unweighted layouts only")
     plan: FilterPlan = engine.plan
     mixed: MixedGraph = engine.mixed
     layout: BlockLayout = engine.partition.layout
@@ -401,14 +388,6 @@ def pack_engine(engine) -> tuple[dict[str, np.ndarray], dict]:
         "lay_scatter_block_ptr": layout.scatter_block_ptr,
         "lay_gather_block_ptr": layout.gather_block_ptr,
     }
-    for name, values in (
-        ("rr_values", mixed.rr_values),
-        ("s2r_values", mixed.seed_values),
-        ("sink_values", mixed.sink_values),
-        ("lay_values_scatter", layout.values_scatter),
-    ):
-        if values is not None:
-            arrays[name] = values
     meta = {
         "num_nodes": plan.num_nodes,
         "num_hubs": plan.num_hubs,
@@ -425,8 +404,6 @@ def pack_engine(engine) -> tuple[dict[str, np.ndarray], dict]:
         "lay_num_nodes": layout.num_nodes,
         "lay_block_nodes": layout.block_nodes,
         "lay_blocks_per_side": layout.num_blocks_per_side,
-        "balanced": bool(engine.partition.balanced),
-        "max_load_factor": float(engine.partition.max_load_factor),
         "bin_raw": int(engine.bin_stats.raw_messages),
         "bin_compressed": int(engine.bin_stats.compressed_messages),
     }
@@ -435,18 +412,11 @@ def pack_engine(engine) -> tuple[dict[str, np.ndarray], dict]:
         ("push", mixed.seed_push_plan),
         ("pull", mixed.sink_pull_plan),
     ):
-        _pack_plan(reduce_plan, prefix, arrays, meta)
+        for name in _PLAN_STREAMS:
+            arrays[f"{prefix}_{name}"] = getattr(reduce_plan, name)
+        meta[f"{prefix}_name"] = reduce_plan.name
+        meta[f"{prefix}_num_rows"] = reduce_plan.num_rows
     return arrays, meta
-
-
-def _pack_plan(plan: ReducePlan, prefix: str, arrays: dict, meta: dict):
-    """Add one reduce plan's streams to the store artifacts."""
-    for name in (*_PLAN_STREAMS, "values"):
-        value = getattr(plan, name)
-        if value is not None:
-            arrays[f"{prefix}_{name}"] = value
-    meta[f"{prefix}_name"] = plan.name
-    meta[f"{prefix}_num_rows"] = plan.num_rows
 
 
 def _install_plan(arrays: dict, meta: dict, prefix: str) -> ReducePlan:
@@ -454,10 +424,7 @@ def _install_plan(arrays: dict, meta: dict, prefix: str) -> ReducePlan:
     return ReducePlan(
         name=meta[f"{prefix}_name"],
         num_rows=int(meta[f"{prefix}_num_rows"]),
-        **{
-            name: arrays.get(f"{prefix}_{name}")
-            for name in (*_PLAN_STREAMS, "values")
-        },
+        **{name: arrays[f"{prefix}_{name}"] for name in _PLAN_STREAMS},
     )
 
 
@@ -465,7 +432,8 @@ def install_layout(engine, arrays: dict, meta: dict) -> None:
     """Rebuild a :class:`MixenEngine`'s prepared structures from store
     artifacts *without re-running any O(m log m) sort*.
 
-    Only the cheap task list, the O(m) plan proofs and the layout
+    Only the cheap task list (under the engine's own ``balance`` and
+    ``max_load_factor``), the O(m) plan proofs and the layout
     certificate are recomputed — exactly the non-sort tail of
     ``_prepare()`` — and the cached reduce plans are installed via the
     ``cached_property`` instance dict, so frozen dataclasses stay
@@ -505,15 +473,7 @@ def install_layout(engine, arrays: dict, meta: dict) -> None:
         arrays["sink_indptr"],
         arrays["sink_indices"],
     )
-    mixed = MixedGraph(
-        plan,
-        rr,
-        s2r,
-        sink,
-        rr_values=arrays.get("rr_values"),
-        seed_values=arrays.get("s2r_values"),
-        sink_values=arrays.get("sink_values"),
-    )
+    mixed = MixedGraph(plan, rr, s2r, sink)
     mixed.__dict__["seed_push_plan"] = _install_plan(arrays, meta, "push")
     mixed.__dict__["sink_pull_plan"] = _install_plan(arrays, meta, "pull")
     layout = BlockLayout(
@@ -527,15 +487,16 @@ def install_layout(engine, arrays: dict, meta: dict) -> None:
         dst_gather=arrays["lay_dst_gather"],
         scatter_block_ptr=arrays["lay_scatter_block_ptr"],
         gather_block_ptr=arrays["lay_gather_block_ptr"],
-        values_scatter=arrays.get("lay_values_scatter"),
     )
     layout.__dict__["reduce_plan"] = _install_plan(arrays, meta, "rp")
-    balanced = bool(meta["balanced"])
-    max_load_factor = float(meta["max_load_factor"])
     tasks = make_block_tasks(
-        layout, balance=balanced, max_load_factor=max_load_factor
+        layout,
+        balance=engine.balance,
+        max_load_factor=engine.max_load_factor,
     )
-    partition = RegularPartition(layout, tasks, balanced, max_load_factor)
+    partition = RegularPartition(
+        layout, tasks, engine.balance, engine.max_load_factor
+    )
 
     engine.plan = plan
     engine.mixed = mixed
@@ -553,12 +514,6 @@ def boot_engine(
     kernel: str = "reduceat",
     max_workers: int | None = None,
     block_nodes: int = 512,
-    balance: bool = True,
-    max_load_factor: float = 2.0,
-    hub_reorder: bool = True,
-    cache_step: bool = True,
-    edge_values=None,
-    epoch: int = 0,
     tuned=None,
 ):
     """Boot a :class:`MixenEngine` through ``store``: warm when the
@@ -566,45 +521,30 @@ def boot_engine(
     commit) otherwise.  Never raises on store trouble — a corrupt or
     crashing store read degrades to the cold path.
 
-    ``epoch`` keys the entry to one version of the mutable edge set
-    (DESIGN 4i): a committed layout whose recorded epoch differs from
-    the requested one is *stale* — it is dropped and rebuilt even if
-    its adjacency fingerprint matches, so an update stream can never
-    resurrect a pre-update layout.
+    The store caches boot layouts only: a server prepares the engines
+    of later epochs in memory and never writes them here, and an entry
+    is keyed on the adjacency, so a graph an update stream returned to
+    its boot content still boots warm.
 
     ``tuned`` (a :class:`~repro.tuning.TunedConfig` or ``None``)
     records the tuned-config blob the boot was configured from in the
     manifest; a committed layout whose recorded blob id differs from
-    the offered one is refused and rebuilt exactly like a stale epoch,
-    so retuning can never warm-boot into a pre-retune layout.
+    the offered one is refused and rebuilt, so retuning can never
+    warm-boot into a pre-retune layout.
 
     Returns ``(engine, BootReport)``.
     """
     from ..core.engine import MixenEngine
     from ..errors import InjectedFault
 
-    fingerprint = engine_fingerprint(
-        graph,
-        block_nodes=block_nodes,
-        balance=balance,
-        max_load_factor=max_load_factor,
-        hub_reorder=hub_reorder,
-        edge_values=edge_values,
-    )
+    fingerprint = engine_fingerprint(graph, block_nodes=block_nodes)
     t0 = time.perf_counter()
     engine = MixenEngine(
         graph,
         block_nodes=block_nodes,
-        balance=balance,
-        max_load_factor=max_load_factor,
-        hub_reorder=hub_reorder,
-        cache_step=cache_step,
-        edge_values=edge_values,
         kernel=kernel,
         max_workers=max_workers,
     )
-    rebuilt = False
-    miss_reason: str | None = None
     try:
         loaded = store.get(fingerprint)
         miss_reason = store.last_miss
@@ -614,45 +554,28 @@ def boot_engine(
     tuned_id = "" if tuned is None else str(tuned.blob_id)
     if loaded is not None:
         arrays, meta = loaded
-        saved_epoch = int(meta.get("epoch", 0))
         saved_tuned = str(meta.get("tuned_id", ""))
-        if saved_epoch != int(epoch):
-            # stale-epoch artifact: same adjacency fingerprint but a
-            # different edge-set version — reject and rebuild
-            miss_reason = (
-                f"stale epoch {saved_epoch} != {int(epoch)}"
-            )
-            store.drop(fingerprint)
-            loaded = None
-        elif saved_tuned != tuned_id:
-            # stale tuned config: the layout was committed under a
-            # different (or no) tuning blob — reject and rebuild
-            miss_reason = (
-                f"stale tuned config {saved_tuned[:12] or '<none>'} != "
-                f"{tuned_id[:12] or '<none>'}"
-            )
-            store.drop(fingerprint)
-            loaded = None
-        else:
+        if saved_tuned == tuned_id:
             install_layout(engine, arrays, meta)
-            _stamp_epoch(engine, epoch)
             seconds = time.perf_counter() - t0
             engine.prepare_stats = PrepareStats(
                 seconds, {"store-load": seconds}
             )
             engine.prepared = True
-            return engine, BootReport(
-                fingerprint, True, False, seconds, epoch=int(epoch)
-            )
+            return engine, BootReport(fingerprint, True, False, seconds)
+        # stale tuned config: the layout was committed under a
+        # different (or no) tuning blob — reject and rebuild
+        miss_reason = (
+            f"stale tuned config {saved_tuned[:12] or '<none>'} != "
+            f"{tuned_id[:12] or '<none>'}"
+        )
+        store.drop(fingerprint)
     rebuilt = miss_reason is not None and miss_reason != "absent"
     engine.prepare()
-    _stamp_epoch(engine, epoch)
     arrays, meta = pack_engine(engine)
-    meta["epoch"] = int(epoch)
     meta["tuned_id"] = tuned_id
     store.put(fingerprint, arrays, meta)
     seconds = time.perf_counter() - t0
     return engine, BootReport(
-        fingerprint, False, rebuilt, seconds, miss_reason,
-        epoch=int(epoch),
+        fingerprint, False, rebuilt, seconds, miss_reason
     )

@@ -19,7 +19,8 @@ ascending).
 Consumption: ``python -m repro tune`` writes the blob; ``run``/``bfs``/
 ``sssp``/``serve --tuned <path>`` apply it (explicit flags win);
 :func:`repro.serve.store.boot_engine` records the blob id in layout
-manifests and refuses stale blobs like stale epochs.
+manifests and refuses to warm-boot a layout committed under another
+blob.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ class TunedConfig:
 
     def check_graph(self, graph: Graph) -> None:
         """Refuse a blob minted for a different adjacency (the tuning
-        analogue of the stale-epoch refusal)."""
+        analogue of the stale-epoch checkpoint refusal)."""
         actual = graph_fingerprint(graph)
         if actual != self.fingerprint:
             raise TuningError(

@@ -13,7 +13,7 @@ from repro.graphs.updates import random_batches, rebuild_from_batch
 from repro.resilience import faults
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.faults import parse_fault_spec
-from repro.serve.store import _stamp_epoch
+from repro.serve.server import _stamp_epoch
 
 
 @pytest.fixture(autouse=True)

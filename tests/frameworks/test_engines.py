@@ -76,26 +76,9 @@ class TestEveryEngine:
         e.prepare()
         res = e.run(PageRank(), max_iterations=15, check_convergence=False)
         expect = PageRank().reference_run(g, 15)
-        if engine_name == "mixen":
-            # Mixen defers sink updates to the Post-Phase, which uses the
-            # final (not previous-iteration) source values; compare the
-            # regular/seed nodes exactly and sinks against one extra
-            # reference iteration.
-            from repro.graphs import classify_nodes
-            from repro.types import NodeClass
-
-            cc = classify_nodes(g)
-            not_sink = ~cc.mask(NodeClass.SINK)
-            assert np.allclose(
-                res.scores[not_sink], expect[not_sink], atol=1e-9
-            )
-            expect_next = PageRank().reference_run(g, 16)
-            sink = cc.mask(NodeClass.SINK)
-            assert np.allclose(
-                res.scores[sink], expect_next[sink], atol=1e-9
-            )
-        else:
-            assert np.allclose(res.scores, expect, atol=1e-9)
+        # Every node, sinks included, at step 15: Mixen's Post-Phase
+        # pulls sinks from the last Main-Phase propagation's input.
+        assert np.allclose(res.scores, expect, atol=1e-9)
 
 
 class TestBfsFromEveryClass:

@@ -100,3 +100,37 @@ def test_resume_at_cap_reports_global_iterations(random_graph, tmp_path):
     )
     assert resumed.iterations == ITERATIONS
     assert np.array_equal(resumed.scores, first.scores)
+
+
+def test_resume_at_cap_returns_sinks_at_the_last_step(tmp_path):
+    """Kill right after the last checkpoint: the resuming process runs
+    no Main-Phase step, yet its Post-Phase must pull sinks from the
+    input of the last propagation, exactly like the uninterrupted run
+    (and the dense reference) — not from the final state, one step
+    ahead."""
+    from repro.graphs import classify_nodes, load_dataset
+    from repro.types import NodeClass
+
+    graph = load_dataset("wiki", scale=0.25)
+    sinks = classify_nodes(graph).mask(NodeClass.SINK)
+    assert sinks.any()
+    uninterrupted = run_once(
+        MixenEngine, PageRank, graph, ResilienceOptions()
+    )
+    run_once(
+        MixenEngine,
+        PageRank,
+        graph,
+        ResilienceOptions(checkpoint_dir=str(tmp_path), checkpoint_every=1),
+    )
+    resumed = run_once(
+        MixenEngine,
+        PageRank,
+        graph,
+        ResilienceOptions(checkpoint_dir=str(tmp_path), resume=True),
+    )
+    assert np.array_equal(resumed.scores, uninterrupted.scores)
+    expect = PageRank().reference_run(graph, ITERATIONS)
+    np.testing.assert_allclose(
+        resumed.scores[sinks], expect[sinks], rtol=1e-12, atol=0
+    )

@@ -77,14 +77,7 @@ class TestBootEngine:
     ):
         store = LayoutStore(tmp_path)
         cold, _ = boot_engine(random_graph, store, kernel="bincount")
-        fingerprint = engine_fingerprint(
-            random_graph,
-            block_nodes=512,
-            balance=True,
-            max_load_factor=2.0,
-            hub_reorder=True,
-            edge_values=None,
-        )
+        fingerprint = engine_fingerprint(random_graph, block_nodes=512)
         entry = store._manifest["entries"][fingerprint]
         artifact = (
             tmp_path / entry["dir"] / entry["arrays"]["perm"]["file"]
@@ -115,21 +108,6 @@ class TestBootEngine:
         entry = store._manifest["entries"][fingerprint]
         (tmp_path / entry["dir"] / "perm.npy").unlink()
         assert LayoutStore(tmp_path).get(fingerprint) is None
-
-    def test_weighted_layout_round_trips(self, random_graph, tmp_path):
-        rng = np.random.default_rng(11)
-        values = rng.uniform(0.5, 2.0, random_graph.num_edges)
-        store = LayoutStore(tmp_path)
-        cold, _ = boot_engine(
-            random_graph, store, kernel="bincount", edge_values=values
-        )
-        warm, boot = boot_engine(
-            random_graph, store, kernel="bincount", edge_values=values
-        )
-        assert boot.hit
-        np.testing.assert_array_equal(
-            _run_pagerank(cold), _run_pagerank(warm)
-        )
 
 
 class TestStoreDurability:
@@ -180,10 +158,19 @@ class TestPackEngine:
         assert meta["num_nodes"] == random_graph.num_nodes
         assert "perm" in arrays and "rp_dst" in arrays
 
+    def test_pack_refuses_weighted_engine(self, random_graph):
+        # The store persists no edge values: packing a weighted layout
+        # would install an unweighted one on the next warm boot.
+        values = np.full(random_graph.num_edges, 0.5)
+        engine = MixenEngine(random_graph, edge_values=values)
+        engine.prepare()
+        with pytest.raises(ServeError, match="unweighted"):
+            pack_engine(engine)
+
 
 class TestTunedStaleness:
     """Warm boots must refuse layouts built under a different tuned
-    config, exactly like a stale epoch (DESIGN 4j)."""
+    config (DESIGN 4j)."""
 
     @pytest.fixture()
     def tuned(self, random_graph):

@@ -1,5 +1,5 @@
 """Serving with a live update stream: epoch-stamped replies, the
-stale-epoch store contract, and the update-stream chaos drill."""
+boot-cache store contract, and the update-stream chaos drill."""
 
 import asyncio
 
@@ -40,11 +40,8 @@ def _config(**overrides):
 
 
 class TestEpochKeyedStore:
-    def test_boot_records_epoch(self, random_graph, tmp_path):
-        store = LayoutStore(tmp_path)
-        _, boot = boot_engine(random_graph, store, kernel="bincount")
-        assert boot.epoch == 0
-        assert not boot.hit
+    """Epochs live in memory: the store holds boot layouts only, keyed
+    on the adjacency and never on an epoch."""
 
     def test_same_epoch_boots_warm(self, random_graph, tmp_path):
         store = LayoutStore(tmp_path)
@@ -53,37 +50,36 @@ class TestEpochKeyedStore:
         assert boot.hit
         assert engine.certificate.epoch == 0
 
-    def test_stale_epoch_artifact_rejected_and_rebuilt(
+    def test_updates_leave_only_the_boot_entry(
         self, random_graph, tmp_path
     ):
         store = LayoutStore(tmp_path)
-        boot_engine(random_graph, store, kernel="bincount")
-        engine, boot = boot_engine(
-            random_graph, store, kernel="bincount", epoch=2
+        report = run_update_drill(
+            random_graph,
+            store,
+            updates=3,
+            queries_per_epoch=2,
+            update_batch_size=6,
+            seed=8,
+            kernel="bincount",
+            config=_config(),
         )
-        assert not boot.hit  # the epoch-0 artifact was refused
-        assert "stale epoch" in boot.miss_reason
-        assert engine.certificate.epoch == 2
-        # the rebuild re-commits under the new epoch: next boot is warm
-        _, again = boot_engine(
-            random_graph, store, kernel="bincount", epoch=2
+        assert report.updates_applied == 3
+        assert report.verified == report.completed
+        assert LayoutStore(tmp_path).fingerprints() == (
+            report.boot.fingerprint,
         )
-        assert again.hit
+        assert len(list(tmp_path.glob("layout-*"))) == 1
 
 
 class TestServerUpdates:
     def _start(self, random_graph, tmp_path, **config_overrides):
-        store = LayoutStore(tmp_path / "store")
         engine, boot = boot_engine(
-            random_graph, store, kernel="bincount"
+            random_graph, LayoutStore(tmp_path / "store"), kernel="bincount"
         )
-        server = MixenServer(
-            engine,
-            config=_config(**config_overrides),
-            boot=boot,
-            store=store,
+        return MixenServer(
+            engine, config=_config(**config_overrides), boot=boot
         )
-        return server
 
     def test_update_advances_epoch_and_stamps_replies(
         self, random_graph, tmp_path

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import contextlib
 import io
 
 import pytest
@@ -11,6 +12,48 @@ def run_cli(*argv) -> tuple[int, str]:
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+@contextlib.contextmanager
+def socket_server(tmp_path, *extra):
+    """A ``serve --socket`` process on the wiki proxy with its store in
+    ``tmp_path / "store"``; yields the socket path, then stops the
+    server and checks that it exited cleanly."""
+    import os
+    import subprocess
+    import sys
+    import time
+    from pathlib import Path
+
+    from repro.serve import request
+
+    path = str(tmp_path / "serve.sock")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--graph", "wiki",
+         "--scale", "0.25", "--store-dir", str(tmp_path / "store"),
+         "--socket", path, *extra],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 120.0
+        while not os.path.exists(path):
+            assert server.poll() is None, "server exited early"
+            assert time.monotonic() < deadline, "socket never came up"
+            time.sleep(0.1)
+        yield path
+        request(path, {"op": "stop"})
+        assert server.wait(timeout=60) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
 
 
 class TestParser:
@@ -278,41 +321,35 @@ class TestDefaultKernel:
         assert report["verified"] == report["completed"] == 4
 
     def test_serve_socket_auto_reports_reduceat(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-        import time
-        from pathlib import Path
-
         from repro.serve import request
 
-        path = str(tmp_path / "serve.sock")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        server = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--graph", "wiki",
-             "--scale", "0.25", "--store-dir", str(tmp_path / "store"),
-             "--socket", path, "--kernel", "auto"],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        try:
-            deadline = time.monotonic() + 120.0
-            while not os.path.exists(path):
-                assert server.poll() is None, "server exited early"
-                assert time.monotonic() < deadline, "socket never came up"
-                time.sleep(0.1)
+        with socket_server(tmp_path, "--kernel", "auto") as path:
             health = request(path, {"op": "health"})
             assert health["ok"] and health["health"]["kernel"] == "reduceat"
             reply = request(path, {"op": "query", "sources": [3, 17]})
             assert reply["ok"] and reply["kernel"] == "reduceat"
-            request(path, {"op": "stop"})
-            assert server.wait(timeout=60) == 0
-        finally:
-            if server.poll() is None:
-                server.kill()
-                server.wait()
+
+
+class TestServeRestart:
+    def test_restart_after_insert_then_delete_boots_warm(self, tmp_path):
+        # Epochs live in memory: an update stream that returns the
+        # graph to its boot content leaves the boot layout in the
+        # store, so the next restart is warm.
+        import numpy as np
+
+        from repro.graphs import load_dataset
+        from repro.serve import LayoutStore, boot_engine, request
+
+        graph = load_dataset("wiki", scale=0.25)
+        neighbours = graph.csr.indices[
+            graph.csr.indptr[0]:graph.csr.indptr[1]
+        ]
+        target = int(np.setdiff1d(np.arange(1, 64), neighbours)[0])
+        with socket_server(tmp_path) as path:
+            for op, epoch in (("inserts", 1), ("deletes", 2)):
+                reply = request(
+                    path, {"op": "update", op: [[0, target]]}
+                )
+                assert reply["ok"] and reply["epoch"] == epoch
+        _, boot = boot_engine(graph, LayoutStore(tmp_path / "store"))
+        assert boot.hit, boot.miss_reason

@@ -59,17 +59,8 @@ def test_engine_matches_pull_on_all_algorithms(
             factory(), max_iterations=6, check_convergence=False
         )
         expect = baseline_scores[(aname, graph_name)]
-        if engine_name == "mixen" and aname in ("pagerank", "katz", "ppr"):
-            # Mixen's Post-Phase sinks see the final iteration's sources;
-            # compare non-sink nodes exactly (sinks covered elsewhere).
-            from repro.graphs import classify_nodes
-            from repro.types import NodeClass
-
-            sel = ~classify_nodes(g).mask(NodeClass.SINK)
-        else:
-            sel = slice(None)
         assert np.allclose(
-            res.scores[sel], expect[sel], atol=1e-8
+            res.scores, expect, atol=1e-8
         ), f"{engine_name}/{aname}/{graph_name}"
 
 

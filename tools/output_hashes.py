@@ -1,14 +1,19 @@
 """Hash the outputs of every algorithm x engine x kernel x proxy run.
 
-Prints one ``graph engine kernel algorithm sha256`` line per run, so two
-trees can be compared with ``diff``: a refactor that claims unchanged
-outputs must print identical lines.  The pool kernels run at two
-workers, so they execute their partitions instead of the serial
-shortcut.
+Prints a ``# numpy <version> scipy <version>`` header, then one
+``graph engine kernel algorithm sha256`` line per run, so two trees can
+be compared with ``diff``: a refactor that claims unchanged outputs
+must print identical lines.  The pool kernels run at two workers, so
+they execute their partitions instead of the serial shortcut.
 
-Usage::
+``bench_results/output_hashes.txt`` is the committed golden ledger at
+``--scale 1``; it is only comparable under the numpy/scipy versions its
+header names.  Regenerate it, or check a tree against it, with::
 
-    PYTHONPATH=src python tools/output_hashes.py [--scale 1.0] > hashes.txt
+    PYTHONPATH=src python tools/output_hashes.py --scale 1 \
+        > bench_results/output_hashes.txt
+    diff bench_results/output_hashes.txt \
+        <(PYTHONPATH=src python tools/output_hashes.py --scale 1)
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import argparse
 import hashlib
 
 import numpy as np
+import scipy
 
 from repro import load_dataset
 from repro.algorithms import CollaborativeFiltering, InDegree, PageRank
@@ -61,6 +67,7 @@ def main() -> int:
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--graphs", default="wiki,pld")
     args = parser.parse_args()
+    print(f"# numpy {np.__version__} scipy {scipy.__version__}")
     try:
         for name in args.graphs.split(","):
             graph = load_dataset(name, scale=args.scale)
