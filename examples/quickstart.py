@@ -33,13 +33,14 @@ def main() -> None:
         f"hubs own {stats.e_hub:.0%} of in-edges"
     )
 
-    # 3. Mixen: prepare pays the filter+partition cost once...
+    # 3. Mixen: prepare pays the filter+partition+prove cost once...
     engine = MixenEngine(graph)
     prep = engine.prepare()
     print(
         f"mixen prepared in {prep.seconds * 1e3:.1f} ms "
         f"(filter {prep.breakdown['filter'] * 1e3:.1f} ms, "
-        f"partition {prep.breakdown['partition'] * 1e3:.1f} ms)"
+        f"partition {prep.breakdown['partition'] * 1e3:.1f} ms, "
+        f"prove {prep.breakdown['prove'] * 1e3:.1f} ms)"
     )
 
     # ...then the Pre/Main/Post schedule runs the algorithm.

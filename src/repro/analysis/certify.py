@@ -185,6 +185,39 @@ def certify_layout(
     )
 
 
+def prove_and_certify(
+    layout: Any,
+    backend: str,
+    *,
+    structure: str,
+    side_plans: tuple = (),
+    race_check: bool | None = None,
+) -> tuple:
+    """The blocked engines' prepare-time proof step: prove the layout's
+    Main-Phase plan and every ``side_plans`` plan race-free, replay them
+    all when ``race_check`` (or, when it is ``None``,
+    ``REPRO_RACE_CHECK``) asks for it, and certify the Main-Phase plan.
+
+    O(m) vectorized checks, always on.  Returns ``(proof, certificate)``.
+    :func:`~repro.analysis.races.prove_schedule` and
+    :func:`certify_layout` are looked up on their modules at call time,
+    so wrappers installed there see every call.
+    """
+    from . import races
+
+    plans = (layout.reduce_plan, *side_plans)
+    proof = races.prove_schedule(plans[0])
+    for plan in plans[1:]:
+        races.prove_schedule(plan)
+    if race_check or (race_check is None and races.race_check_enabled()):
+        for plan in plans:
+            races.replay_plan(plan)
+    certificate = certify_layout(
+        layout, backend, structure=structure, proof=proof
+    )
+    return proof, certificate
+
+
 # --------------------------------------------------------------------- #
 # the ledger
 # --------------------------------------------------------------------- #

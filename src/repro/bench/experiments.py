@@ -201,7 +201,7 @@ def _paper_headline(framework: str) -> str:
 # --------------------------------------------------------------------- #
 def table4(*, scale: float = 1.0, graphs=DATASET_NAMES) -> ExperimentResult:
     """Table 4: preprocessing time per framework, with Mixen's
-    filter/partition breakdown."""
+    filter/partition/prove breakdown."""
     from .runner import time_prepare
 
     result = ExperimentResult(
@@ -209,7 +209,8 @@ def table4(*, scale: float = 1.0, graphs=DATASET_NAMES) -> ExperimentResult:
         title="Table 4: preprocessing overheads (seconds)",
         headers=[
             "graph", "GPOP", "Ligra", "Polymer", "GraphMat",
-            "Mixen_filter", "Mixen_partition", "Mixen_total",
+            "Mixen_filter", "Mixen_partition", "Mixen_prove",
+            "Mixen_total",
         ],
     )
     for gname in graphs:
@@ -224,6 +225,7 @@ def table4(*, scale: float = 1.0, graphs=DATASET_NAMES) -> ExperimentResult:
         total, breakdown = time_prepare(lambda: _engine("mixen", g))
         row["Mixen_filter"] = breakdown.get("filter", 0.0)
         row["Mixen_partition"] = breakdown.get("partition", 0.0)
+        row["Mixen_prove"] = breakdown.get("prove", 0.0)
         row["Mixen_total"] = total
         result.rows.append(row)
     result.notes.append(
@@ -629,8 +631,6 @@ def ablation_edge_compression(
     *, scale: float = 1.0, graphs=("weibo", "track", "wiki", "pld"),
 ) -> ExperimentResult:
     """Edge compression on/off: bin slots and simulated traffic."""
-    from ..core.bins import dynamic_bin_stats
-
     result = ExperimentResult(
         name="ablation_edge_compression",
         title="Ablation: dynamic-bin edge compression on vs off",
@@ -643,7 +643,7 @@ def ablation_edge_compression(
         g = load_dataset(gname, scale=scale)
         engine = MixenEngine(g, block_nodes=DEFAULT_BLOCK_NODES)
         engine.prepare()
-        stats = dynamic_bin_stats(engine.partition.layout)
+        stats = engine.bin_stats
         row = {
             "graph": gname,
             "raw_slots": stats.raw_messages,

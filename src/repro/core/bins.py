@@ -7,6 +7,8 @@ occupies a single bin slot.  The native kernels realize the bins through
 the block-sorted edge permutations (:class:`~repro.frameworks.blocking.
 BlockLayout`), so this module's dynamic-bin role is bookkeeping: slot
 counts and byte sizes for the machine model and the compression ablation.
+No kernel reads them, so an engine computes its census on first read
+(:attr:`~repro.core.engine.MixenEngine.bin_stats`), never at prepare.
 
 *Static bins* cache the seed->regular contribution: written once during the
 Pre-Phase, read-only afterwards, allocated per block-row as a 1-D vector

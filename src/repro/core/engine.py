@@ -1,9 +1,15 @@
 """The Mixen engine: the paper's contribution, behind the common Engine API.
 
 Preparation (the Table 4 costs) = **filter** (classification, relabeling,
-mixed-format extraction; Section 4.1) + **partition** (2-D blocking, load
-balancing, bin setup; Section 4.2).  Execution follows Algorithm 3's
-Pre/Main/Post schedule (:mod:`repro.core.scheduler`).
+mixed-format extraction; Section 4.1) + **partition** (2-D blocking and
+the Pre/Post-Phase plans; Section 4.2) + **prove** (the plans' race
+proofs and the Main-Phase certificate, plus the contract checks under
+``validate``).  Preparation builds only what the kernels, proofs and
+certificate read: the dynamic-bin census (:attr:`MixenEngine.bin_stats`)
+and the balanced task list (:attr:`RegularPartition.tasks`) feed only
+the machine model and the experiments, so both are computed on first
+read.  Execution follows Algorithm 3's Pre/Main/Post schedule
+(:mod:`repro.core.scheduler`).
 
 Options expose the paper's design knobs for the ablation benches:
 ``hub_reorder`` (step 2 of the filter), ``cache_step`` (the static-bin
@@ -18,6 +24,7 @@ partitions.
 from __future__ import annotations
 
 import time
+from functools import cached_property
 
 import numpy as np
 
@@ -101,55 +108,45 @@ class MixenEngine(Engine):
             max_load_factor=self.max_load_factor,
             values=self.mixed.rr_values,
         )
-        self.bin_stats: DynamicBinStats = dynamic_bin_stats(
-            self.partition.layout
-        )
         # Force the one-shot phase plans now (cached on the mixed graph):
         # building them is part of preparation, so run-phase timings
         # exclude the sorts.
         self.mixed.seed_push_plan
         self.mixed.sink_pull_plan
+        t_partition = time.perf_counter()
         self._prove_plans()
         if self.validate:
             self._validate_contracts()
-        t_partition = time.perf_counter()
         return {
             "filter": t_filter - t0,
             "partition": t_partition - t_filter,
+            "prove": time.perf_counter() - t_partition,
         }
 
     def _prove_plans(self) -> None:
-        """Static race-freedom proof of the three reduce plans a run
-        dispatches — always on, O(m) vectorized checks amortized against
-        the layout sorts (:mod:`repro.analysis.races`) — plus the
-        Main-Phase certificate whose id travels on every result."""
-        from ..analysis.certify import certify_layout
-        from ..analysis.races import (
-            prove_schedule,
-            race_check_enabled,
-            replay_plan,
-        )
+        """Race proofs of the three reduce plans a run dispatches plus
+        the Main-Phase certificate whose id travels on every result
+        (:func:`repro.analysis.certify.prove_and_certify`)."""
+        from ..analysis.certify import prove_and_certify
 
-        layout = self.partition.layout
-        plans = (
-            layout.reduce_plan,
-            self.mixed.seed_push_plan,
-            self.mixed.sink_pull_plan,
-        )
-        self.race_proof = prove_schedule(plans[0])
-        for plan in plans[1:]:
-            prove_schedule(plan)
-        if self.race_check or (
-            self.race_check is None and race_check_enabled()
-        ):
-            for plan in plans:
-                replay_plan(plan)
-        self.certificate = certify_layout(
-            layout,
+        self.race_proof, self.certificate = prove_and_certify(
+            self.partition.layout,
             self.kernel,
             structure="mixen-main",
-            proof=self.race_proof,
+            side_plans=(
+                self.mixed.seed_push_plan,
+                self.mixed.sink_pull_plan,
+            ),
+            race_check=self.race_check,
         )
+
+    @cached_property
+    def bin_stats(self) -> DynamicBinStats:
+        """Dynamic-bin slot census of the regular layout (raw vs
+        edge-compressed), computed on first read: only the machine
+        model and the compression ablation use it."""
+        self._require_prepared()
+        return dynamic_bin_stats(self.partition.layout)
 
     def _validate_contracts(self) -> None:
         """Check every layout/format contract of the prepared structures

@@ -47,11 +47,6 @@ class MixedGraph:
     sink_values: np.ndarray | None = None
 
     @property
-    def num_regular_edges(self) -> int:
-        """``m~``: edges inside the regular subgraph (Section 5)."""
-        return self.rr.num_edges
-
-    @property
     def beta(self) -> float:
         """``m~ / m``."""
         total = (

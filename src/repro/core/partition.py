@@ -7,13 +7,15 @@ filtering step concentrates hubs at the front of the vertex set, the
 top-left blocks can hold a disproportionate share of the non-zeros; the
 paper's balancing scheme estimates per-block load by non-zero count and
 splits any block above twice the average into smaller scheduling units.
-The resulting :class:`BlockTask` list is what the (simulated or real)
-thread pool consumes.
+The resulting :class:`BlockTask` list is what the simulated thread pool
+(:mod:`repro.parallel.simthreads`) schedules; no kernel runs it, so a
+partition builds it on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,12 +41,24 @@ class BlockTask:
 
 @dataclass(frozen=True)
 class RegularPartition:
-    """Blocked layout of the regular subgraph plus its task list."""
+    """Blocked layout of the regular subgraph plus its balancing policy.
+
+    The task list is derived from ``layout`` under that policy on first
+    read (cached, like :attr:`BlockLayout.reduce_plan`).
+    """
 
     layout: BlockLayout
-    tasks: tuple
     balanced: bool
     max_load_factor: float
+
+    @cached_property
+    def tasks(self) -> tuple:
+        """The balanced :class:`BlockTask` list of the layout."""
+        return make_block_tasks(
+            self.layout,
+            balance=self.balanced,
+            max_load_factor=self.max_load_factor,
+        )
 
     @property
     def num_tasks(self) -> int:
@@ -90,10 +104,7 @@ def partition_regular(
     layout = build_block_layout(
         rr.row_ids(), rr.indices, rr.num_rows, block_nodes, values=values
     )
-    tasks = make_block_tasks(
-        layout, balance=balance, max_load_factor=max_load_factor
-    )
-    return RegularPartition(layout, tasks, balance, max_load_factor)
+    return RegularPartition(layout, balance, max_load_factor)
 
 
 def make_block_tasks(
@@ -103,7 +114,7 @@ def make_block_tasks(
     max_load_factor: float = 2.0,
 ) -> tuple:
     """Balanced :class:`BlockTask` list of a layout — the scheduling
-    units the thread-pool kernel's Scatter phase consumes."""
+    units of the simulated thread pool and the experiments."""
     return tuple(
         _iter_tasks(layout, balance=balance, max_load_factor=max_load_factor)
     )

@@ -410,27 +410,13 @@ class BlockingEngine(Engine):
             csr.row_ids(), csr.indices, self.graph.num_nodes,
             self.block_nodes, values=self.edge_values,
         )
-        # Static race-freedom proof of the Main-Phase plan — always on;
-        # O(m) vectorized checks amortized against the layout sorts.
-        from ..analysis.races import (
-            prove_schedule,
-            race_check_enabled,
-            replay_plan,
-        )
+        # Race proof and certificate of the Main-Phase plan; the
+        # certificate id travels on every result.
+        from ..analysis.certify import prove_and_certify
 
-        plan = self.layout.reduce_plan
-        self.race_proof = prove_schedule(plan)
-        if self.race_check or (
-            self.race_check is None and race_check_enabled()
-        ):
-            replay_plan(plan)
-        # Machine-readable proof certificate of the plan under this
-        # engine's kernel; its id travels on every result.
-        from ..analysis.certify import certify_layout
-
-        self.certificate = certify_layout(
+        self.race_proof, self.certificate = prove_and_certify(
             self.layout, self.kernel, structure="block-main",
-            proof=self.race_proof,
+            race_check=self.race_check,
         )
         if self.validate:
             from ..analysis.contracts import check_layout

@@ -7,18 +7,11 @@ kernel dispatch so that merely importing :mod:`repro.parallel` never
 touches :mod:`multiprocessing` machinery.
 """
 
-from .scheduling import (
-    ScheduleResult,
-    dynamic_schedule,
-    modeled_parallel_seconds,
-    static_schedule,
-    work_stealing_schedule,
-)
+from .scheduling import ScheduleResult, dynamic_schedule
 from .simthreads import (
     MPProfile,
     ParallelProfile,
     mp_parallel_profile,
-    mp_profile,
     parallel_profile,
 )
 from .threadpool import (
@@ -36,11 +29,7 @@ __all__ = [
     "chunked",
     "default_workers",
     "dynamic_schedule",
-    "modeled_parallel_seconds",
     "mp_parallel_profile",
-    "mp_profile",
     "parallel_for",
     "parallel_profile",
-    "static_schedule",
-    "work_stealing_schedule",
 ]

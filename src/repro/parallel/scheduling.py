@@ -77,79 +77,3 @@ def dynamic_schedule(loads, num_threads: int) -> ScheduleResult:
     return ScheduleResult(
         num_threads, makespan, thread_loads, float(loads.sum())
     )
-
-
-def static_schedule(loads, num_threads: int) -> ScheduleResult:
-    """OpenMP-style static scheduling: contiguous task chunks per thread."""
-    loads = _check(loads, num_threads)
-    bounds = np.linspace(0, loads.size, num_threads + 1).astype(np.int64)
-    thread_loads = np.array(
-        [
-            loads[bounds[t] : bounds[t + 1]].sum()
-            for t in range(num_threads)
-        ]
-    )
-    makespan = float(thread_loads.max()) if loads.size else 0.0
-    return ScheduleResult(
-        num_threads, makespan, thread_loads, float(loads.sum())
-    )
-
-
-def modeled_parallel_seconds(
-    serial_seconds: float, loads, num_threads: int
-) -> float:
-    """Modeled wall time of a measured serial region under dynamic
-    scheduling of its tasks: the serial time shrinks by the achieved
-    speedup (not by the ideal thread count)."""
-    if serial_seconds < 0:
-        raise MachineError("serial time must be non-negative")
-    sched = dynamic_schedule(loads, num_threads)
-    if sched.speedup == 0:
-        return serial_seconds
-    return serial_seconds / sched.speedup
-
-
-def work_stealing_schedule(loads, num_threads: int) -> ScheduleResult:
-    """Work-stealing model: contiguous per-thread chunks (as a static
-    schedule would assign them) plus stealing — an idle worker takes the
-    last queued task of the currently most loaded peer.
-
-    Bridges the static/dynamic gap: it keeps static scheduling's locality
-    for balanced inputs while recovering dynamic-like makespans when one
-    chunk is hub-heavy.
-    """
-    loads = _check(loads, num_threads)
-    n = loads.size
-    bounds = np.linspace(0, n, num_threads + 1).astype(np.int64)
-    # Per-thread task queues (front = own work; victims lose their back).
-    from collections import deque
-
-    queues = [
-        deque(range(int(bounds[t]), int(bounds[t + 1])))
-        for t in range(num_threads)
-    ]
-    remaining = [
-        float(sum(loads[i] for i in q)) for q in queues
-    ]
-    finish = [(0.0, t) for t in range(num_threads)]
-    heapq.heapify(finish)
-    thread_loads = np.zeros(num_threads, dtype=np.float64)
-    makespan = 0.0
-    while finish:
-        at, t = heapq.heappop(finish)
-        makespan = max(makespan, at)
-        if queues[t]:
-            task = queues[t].popleft()
-            remaining[t] -= float(loads[task])
-        else:
-            victim = max(range(num_threads), key=lambda v: remaining[v])
-            if not queues[victim]:
-                continue  # everything is done or in flight
-            task = queues[victim].pop()
-            remaining[victim] -= float(loads[task])
-        load = float(loads[task])
-        thread_loads[t] += load
-        heapq.heappush(finish, (at + load, t))
-    return ScheduleResult(
-        num_threads, makespan, thread_loads, float(loads.sum())
-    )

@@ -133,14 +133,3 @@ def mp_parallel_profile(loads, num_workers: int) -> MPProfile:
         total_load=int(loads.sum()),
         makespan=max(worker_loads) if worker_loads else 0,
     )
-
-
-def mp_profile(engine, *, num_workers: int | None = None) -> MPProfile:
-    """Modeled process-pool profile for a prepared blocked engine
-    (same task loads as :func:`parallel_profile`, stride-assigned)."""
-    engine._require_prepared()
-    if num_workers is None:
-        from .threadpool import default_workers
-
-        num_workers = default_workers()
-    return mp_parallel_profile(_task_loads(engine), num_workers)

@@ -8,8 +8,11 @@ by a sha256 layout fingerprint of the adjacency (the same
 :func:`~repro.resilience.checkpoint.state_fingerprint` helper the
 checkpoint system uses), so a restarted server boots in O(load): every
 array is ``np.load``-ed with ``mmap_mode="r"`` and the only recomputed
-pieces are the cheap Python-loop task list and the O(m) race
-proofs/certificates that :meth:`MixenEngine._prepare` would run anyway.
+pieces are the O(m) race proofs and the certificate that
+:meth:`MixenEngine._prepare` would run anyway.  What only the machine
+model reads (the block-task list, the dynamic-bin census) is neither
+stored nor rebuilt: a booted engine derives it on first read, like a
+freshly prepared one.
 
 It is a boot cache and nothing more: a restarted server always boots
 its configured graph at epoch 0, so the engines a server prepares for
@@ -42,11 +45,10 @@ from typing import Any
 
 import numpy as np
 
-from ..core.bins import DynamicBinStats
 from ..core.filtering import FilterPlan
 from ..core.kernels import ReducePlan
 from ..core.mixed_format import MixedGraph
-from ..core.partition import RegularPartition, make_block_tasks
+from ..core.partition import RegularPartition
 from ..errors import ServeError
 from ..frameworks.base import PrepareStats
 from ..frameworks.blocking import BlockLayout
@@ -404,8 +406,6 @@ def pack_engine(engine) -> tuple[dict[str, np.ndarray], dict]:
         "lay_num_nodes": layout.num_nodes,
         "lay_block_nodes": layout.block_nodes,
         "lay_blocks_per_side": layout.num_blocks_per_side,
-        "bin_raw": int(engine.bin_stats.raw_messages),
-        "bin_compressed": int(engine.bin_stats.compressed_messages),
     }
     for prefix, reduce_plan in (
         ("rp", layout.reduce_plan),
@@ -432,12 +432,12 @@ def install_layout(engine, arrays: dict, meta: dict) -> None:
     """Rebuild a :class:`MixenEngine`'s prepared structures from store
     artifacts *without re-running any O(m log m) sort*.
 
-    Only the cheap task list (under the engine's own ``balance`` and
-    ``max_load_factor``), the O(m) plan proofs and the layout
-    certificate are recomputed — exactly the non-sort tail of
-    ``_prepare()`` — and the cached reduce plans are installed via the
-    ``cached_property`` instance dict, so frozen dataclasses stay
-    frozen.
+    Only the O(m) plan proofs and the layout certificate are recomputed
+    — exactly the non-sort tail of ``_prepare()`` — and the cached
+    reduce plans are installed via the ``cached_property`` instance
+    dict, so frozen dataclasses stay frozen.  The partition carries the
+    engine's own ``balance`` and ``max_load_factor``, from which its
+    task list is derived on first read.
     """
     classes = ConnectivityClasses(
         classes=np.asarray(arrays["cls_classes"]),
@@ -489,20 +489,10 @@ def install_layout(engine, arrays: dict, meta: dict) -> None:
         gather_block_ptr=arrays["lay_gather_block_ptr"],
     )
     layout.__dict__["reduce_plan"] = _install_plan(arrays, meta, "rp")
-    tasks = make_block_tasks(
-        layout,
-        balance=engine.balance,
-        max_load_factor=engine.max_load_factor,
-    )
-    partition = RegularPartition(
-        layout, tasks, engine.balance, engine.max_load_factor
-    )
-
     engine.plan = plan
     engine.mixed = mixed
-    engine.partition = partition
-    engine.bin_stats = DynamicBinStats(
-        int(meta["bin_raw"]), int(meta["bin_compressed"])
+    engine.partition = RegularPartition(
+        layout, engine.balance, engine.max_load_factor
     )
     engine._prove_plans()
 

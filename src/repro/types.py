@@ -62,9 +62,3 @@ def as_vids(values, *, copy: bool = False) -> np.ndarray:
     elif copy:
         arr = arr.copy()
     return np.ascontiguousarray(arr)
-
-
-def as_values(values, *, dtype=VALUE_DTYPE) -> np.ndarray:
-    """Return ``values`` as a contiguous floating point property array."""
-    arr = np.asarray(values, dtype=dtype)
-    return np.ascontiguousarray(arr)

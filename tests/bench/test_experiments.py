@@ -66,6 +66,7 @@ class TestTimeTables:
         result = table4(scale=0.5, graphs=("wiki",))
         row = result.rows[0]
         assert row["Mixen_total"] >= row["Mixen_filter"]
+        assert row["Mixen_prove"] > 0
 
 
 class TestFigures:

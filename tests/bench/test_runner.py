@@ -131,7 +131,7 @@ class TestTimePrepare:
             lambda: MixenEngine(wiki), repeats=3
         )
         assert total > 0
-        assert set(breakdown) == {"filter", "partition"}
+        assert set(breakdown) == {"filter", "partition", "prove"}
 
     def test_rejects_bad_repeats(self, wiki):
         with pytest.raises(EngineError):

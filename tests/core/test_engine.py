@@ -108,13 +108,73 @@ class TestOptions:
     def test_prepare_breakdown_has_filter_and_partition(self):
         g = load_dataset("wiki", scale=0.25)
         e = prepared(g)
-        assert set(e.prepare_stats.breakdown) == {"filter", "partition"}
+        assert set(e.prepare_stats.breakdown) == {
+            "filter", "partition", "prove"
+        }
 
     def test_alpha_beta_properties(self):
         g = load_dataset("wiki", scale=0.25)
         e = prepared(g)
         assert 0 < e.alpha < 1
         assert 0 < e.beta < 1
+
+
+class TestLazyModelInputs:
+    """The bin census and the block-task list feed only the machine
+    model: no prepare, run, warm boot or served update may build them,
+    and a later read still yields the eager functions' results."""
+
+    def test_executed_paths_never_build_model_inputs(
+        self, monkeypatch, tmp_path
+    ):
+        import asyncio
+
+        import repro.core.engine as engine_mod
+        import repro.core.partition as partition_mod
+        from repro.core import dynamic_bin_stats, make_block_tasks
+        from repro.graphs.updates import random_batches
+        from repro.serve import (
+            LayoutStore,
+            MixenServer,
+            ServeConfig,
+            boot_engine,
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("model input built on the executed path")
+
+        monkeypatch.setattr(engine_mod, "dynamic_bin_stats", forbidden)
+        monkeypatch.setattr(partition_mod, "make_block_tasks", forbidden)
+
+        g = load_dataset("wiki", scale=0.25)
+        e = prepared(g)
+        e.run(PageRank(), max_iterations=5, check_convergence=False)
+        e.run_bfs(default_source(g))
+        store = LayoutStore(tmp_path)
+        boot_engine(g, store)
+        warm, boot = boot_engine(g, store)
+        assert boot.hit
+        server = MixenServer(warm, config=ServeConfig(iterations=5))
+        (batch,) = random_batches(g, 1, 8, seed=1)
+
+        async def update():
+            await server.start()
+            try:
+                return await server.submit_update(batch)
+            finally:
+                await server.stop()
+
+        assert asyncio.run(update())["epoch"] == 1
+
+        monkeypatch.undo()
+        for engine in (e, warm, server.engine):
+            layout = engine.partition.layout
+            assert engine.bin_stats == dynamic_bin_stats(layout)
+            assert engine.partition.tasks == make_block_tasks(
+                layout,
+                balance=engine.balance,
+                max_load_factor=engine.max_load_factor,
+            )
 
 
 class TestPhases:

@@ -6,11 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import MachineError
-from repro.parallel import (
-    dynamic_schedule,
-    modeled_parallel_seconds,
-    static_schedule,
-)
+from repro.parallel import dynamic_schedule
 
 
 class TestDynamicSchedule:
@@ -68,33 +64,8 @@ class TestDynamicSchedule:
         dyn = dynamic_schedule(loads, threads)
         # Greedy list scheduling is a 2-approximation; static chunking can
         # be arbitrarily bad, but never better than half of dynamic.
-        sta = static_schedule(loads, threads)
-        assert dyn.makespan <= 2 * sta.makespan + 1e-9
-
-
-class TestStaticSchedule:
-    def test_contiguous_chunks(self):
-        res = static_schedule(np.array([1.0, 1.0, 5.0, 5.0]), 2)
-        assert res.thread_loads.tolist() == [2.0, 10.0]
-        assert res.makespan == 10.0
-
-    def test_skewed_order_hurts_static(self):
-        # All the heavy tasks land on the first thread.
-        loads = np.array([10.0] * 5 + [1.0] * 5)
-        sta = static_schedule(loads, 2)
-        dyn = dynamic_schedule(loads, 2)
-        assert dyn.makespan < sta.makespan
-
-
-class TestModeledSeconds:
-    def test_scales_by_speedup(self):
-        loads = np.ones(100)
-        t = modeled_parallel_seconds(10.0, loads, 10)
-        assert t == pytest.approx(1.0)
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(MachineError):
-            modeled_parallel_seconds(-1.0, np.ones(4), 2)
-
-    def test_no_tasks_keeps_serial_time(self):
-        assert modeled_parallel_seconds(5.0, np.array([]), 4) <= 5.0
+        bounds = np.linspace(0, loads.size, threads + 1).astype(np.int64)
+        static_makespan = max(
+            loads[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])
+        )
+        assert dyn.makespan <= 2 * static_makespan + 1e-9

@@ -58,6 +58,10 @@ class TestBootEngine:
         np.testing.assert_array_equal(
             _run_pagerank(cold), _run_pagerank(warm)
         )
+        # The store keeps neither model input; a warm engine derives
+        # both on first read, equal to the cold engine's.
+        assert warm.bin_stats == cold.bin_stats
+        assert warm.partition.tasks == cold.partition.tasks
 
     def test_warm_boot_preserves_certificate(self, random_graph, tmp_path):
         store = LayoutStore(tmp_path)
