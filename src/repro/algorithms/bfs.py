@@ -2,10 +2,10 @@
 
 Engines implement :meth:`~repro.frameworks.base.Engine.run_bfs` with their
 characteristic strategies (Ligra's direction optimization, GPOP/Mixen's
-blocked frontiers, the pull engines' dense sweeps).  This module adds the
-engine-free reference used by tests and a convenience wrapper, plus source
-selection matching the paper's convention of picking a well-connected
-source so the traversal covers the graph.
+blocked frontiers, the pull engines' dense sweeps).  This module adds their
+shared driver step and top-down expansion, the engine-free reference
+used by tests, and source selection matching the paper's convention of
+picking a well-connected source so the traversal covers the graph.
 """
 
 from __future__ import annotations
@@ -16,8 +16,27 @@ import numpy as np
 
 from ..core.driver import BundleStep, IterationDriver, StateSpec
 from ..errors import EngineError
+from ..graphs.csr import _slices_to_indices
 from ..graphs.graph import Graph
 from ..types import UNREACHED
+
+#: Beamer's direction switch: a level whose frontier has fewer out-edges
+#: than this share of all edges expands top-down, wider ones densely.
+DIRECTION_THRESHOLD = 1 / 20
+
+
+def top_down(indptr, indices, frontier, levels, level: int) -> np.ndarray:
+    """Sparse push: mark the unvisited out-neighbours of the ``frontier``
+    ids in a source-major adjacency (``indices[indptr[u]:indptr[u + 1]]``)
+    at ``level`` and return them as the next frontier mask."""
+    starts = indptr[frontier]
+    take = _slices_to_indices(starts, indptr[frontier + 1] - starts)
+    neighbors = indices[take]
+    fresh = neighbors[levels[neighbors] == UNREACHED]
+    levels[fresh] = level
+    mask = np.zeros(levels.size, dtype=bool)
+    mask[fresh] = True
+    return mask
 
 
 class FrontierBfsStep(BundleStep):
@@ -27,11 +46,12 @@ class FrontierBfsStep(BundleStep):
     from the numerical guards (traversal state is structural, not
     floating-point).  ``expand(frontier, levels, level)`` is the
     engine's characteristic frontier expansion (blocked bins, dense
-    pull, direction-optimized edgeMap); it may mark ``levels`` in place
-    (the step hands it a fresh copy) and returns the next frontier
-    mask.  ``base_level`` offsets the level counter for runs whose
-    initial frontier already sits above level 0 (Mixen's seed-source
-    case seeds the regular frontier at level 1).
+    pull, direction-optimized edgeMap); it marks ``levels`` in place
+    (a copy when supervised: the supervisor may roll back to the input
+    bundle) and returns the next frontier mask.  ``base_level`` offsets
+    the level counter for runs whose initial frontier already sits
+    above level 0 (Mixen's seed-source case seeds the regular frontier
+    at level 1).
     """
 
     name = "bfs"
@@ -51,7 +71,9 @@ class FrontierBfsStep(BundleStep):
         return not bool(state["frontier"].any())
 
     def step(self, state, iteration, ctx):
-        levels = state["levels"].copy()
+        levels = state["levels"]
+        if ctx.supervised:
+            levels = levels.copy()
         level = self.base_level + iteration + 1
         frontier = self.expand(state["frontier"], levels, level)
         return {"levels": levels, "frontier": frontier}
@@ -70,7 +92,8 @@ def run_frontier_bfs(
 
     The driver owns the loop, so a supervised run ( ``resilience`` )
     checkpoints the traversal state on cadence and resumes a killed
-    run bit-identically.
+    run bit-identically.  An unsupervised run marks ``levels`` and
+    returns it.
     """
     step = FrontierBfsStep(expand, base_level=base_level)
     driver = IterationDriver(

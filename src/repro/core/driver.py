@@ -125,6 +125,12 @@ class StepContext:
         self.iteration = 0
         self.stopped = False
 
+    @property
+    def supervised(self) -> bool:
+        """Whether a supervisor may roll the run back to an earlier
+        bundle (a step must then leave its input arrays unchanged)."""
+        return self._supervisor is not None
+
     def propagate(self, xs, call: Callable | None = None):
         """One resilient kernel invocation (``call`` overrides the
         driver's default call site, e.g. ``engine.propagate_out``)."""

@@ -14,7 +14,9 @@ import time
 import numpy as np
 
 from ..errors import EngineError
-from ..graphs.csr import CSR, _slices_to_indices
+from ..algorithms.bfs import DIRECTION_THRESHOLD, bfs_fingerprint
+from ..algorithms.bfs import run_frontier_bfs, top_down
+from ..graphs.csr import CSR
 from ..types import UNREACHED, VALUE_DTYPE
 from .base import (
     Engine,
@@ -34,7 +36,7 @@ class LigraEngine(Engine):
     supports_edge_values = False
 
     def __init__(
-        self, graph, *, direction_threshold: float = 1 / 20,
+        self, graph, *, direction_threshold: float = DIRECTION_THRESHOLD,
         edge_values=None,
     ) -> None:
         super().__init__(graph, edge_values=edge_values)
@@ -97,26 +99,21 @@ class LigraEngine(Engine):
     def run_bfs(self, source: int, *, resilience=None) -> np.ndarray:
         """Direction-optimizing BFS over a sparse frontier."""
         self._require_prepared()
-        from ..algorithms.bfs import bfs_fingerprint, run_frontier_bfs
-
         n = self.graph.num_nodes
         if not 0 <= source < n:
             raise EngineError(f"BFS source {source} outside [0, {n})")
         m = max(self.graph.num_edges, 1)
 
         def expand(frontier_mask, levels, level):
-            # The driver's bundle carries the frontier as a dense mask;
-            # Ligra's edgeMap works on the sorted index form (the order
-            # np.unique produces, so the round-trip is exact).
+            # Ligra's edgeMap works on the index form of the bundle's mask.
             frontier = np.flatnonzero(frontier_mask).astype(np.int64)
             frontier_edges = int(self._csr.degrees()[frontier].sum())
             if frontier_edges < self.direction_threshold * m:
-                fresh = self._top_down(frontier, levels, level)
-            else:
-                fresh = self._bottom_up(frontier, levels, level)
-            mask = np.zeros(n, dtype=bool)
-            mask[fresh] = True
-            return mask
+                return top_down(
+                    self._csr.indptr, self._csr.indices, frontier,
+                    levels, level,
+                )
+            return self._bottom_up(frontier, levels, level)
 
         levels = np.full(n, UNREACHED, dtype=np.int64)
         levels[source] = 0
@@ -130,22 +127,10 @@ class LigraEngine(Engine):
             fingerprint=bfs_fingerprint(self, source),
         )
 
-    def _top_down(
-        self, frontier: np.ndarray, levels: np.ndarray, level: int
-    ) -> np.ndarray:
-        """Sparse push: expand the frontier's out-edges."""
-        degs = self._csr.degrees()[frontier]
-        take = _slices_to_indices(self._csr.indptr[frontier], degs)
-        neighbors = self._csr.indices[take]
-        fresh = neighbors[levels[neighbors] == UNREACHED]
-        fresh = np.unique(fresh)
-        levels[fresh] = level
-        return fresh.astype(np.int64)
-
     def _bottom_up(
         self, frontier: np.ndarray, levels: np.ndarray, level: int
     ) -> np.ndarray:
-        """Dense pull: every unvisited node checks its in-neighbors."""
+        """Dense pull: mask of unvisited nodes with a frontier in-neighbor."""
         n = self.graph.num_nodes
         in_frontier = np.zeros(n, dtype=bool)
         in_frontier[frontier] = True
@@ -155,4 +140,4 @@ class LigraEngine(Engine):
         )
         fresh_mask = (hits > 0) & (levels == UNREACHED)
         levels[fresh_mask] = level
-        return np.flatnonzero(fresh_mask).astype(np.int64)
+        return fresh_mask

@@ -152,6 +152,13 @@ class TestBlockingLayoutDetails:
         with pytest.raises(PartitionError):
             make_engine("block", tiny_graph, block_nodes=0)
 
+    def test_prepare_breakdown_separates_proofs(self):
+        g = load_dataset("wiki", scale=0.25)
+        e = make_engine("block", g)
+        stats = e.prepare()
+        assert set(stats.breakdown) == {"partition", "prove"}
+        assert sum(stats.breakdown.values()) <= stats.seconds
+
     def test_polymer_socket_count(self):
         g = load_dataset("wiki", scale=0.25)
         for sockets in (1, 2, 4):
