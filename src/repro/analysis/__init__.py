@@ -22,6 +22,9 @@ build (no new traversals of the edge structure):
   (fault sites, exit codes, state-bundle names);
 * :mod:`repro.analysis.lint` — project-specific AST lint rules over the
   source tree (``tools/run_lint.py``).
+
+:mod:`repro.analysis.golden` hashes every proxy run's outputs into the
+committed golden output ledger (``python -m repro prove --update``).
 """
 
 from .certify import (

@@ -62,7 +62,14 @@ def _engine(name: str, graph, *, block_nodes: int = DEFAULT_BLOCK_NODES,
 
 def _traced_counters(name: str, graph, *, block_nodes=DEFAULT_BLOCK_NODES,
                      spec=SCALED_MACHINE, **opts):
-    """One traced per-iteration propagation through the hierarchy."""
+    """One traced per-iteration propagation through the hierarchy.
+
+    The blocked engines are traced on the ``reduceat`` access pattern
+    unless ``kernel`` is given, so the modeled figures (4–7, Table 3
+    modeled, the tuner's objective) do not follow the execution
+    default."""
+    if name in ("mixen", "block"):
+        opts.setdefault("kernel", "reduceat")
     engine = _engine(name, graph, block_nodes=block_nodes, **opts)
     engine.prepare()
     trace = AccessTrace(AddressSpace(spec.line_bytes))

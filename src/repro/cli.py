@@ -21,7 +21,8 @@ Commands:
 * ``prove`` — run the numeric-safety dataflow pass, the registry
   exhaustiveness checks and the full structure x backend certification
   matrix, and verify (or with ``--update`` rewrite) the certificate
-  ledger (:mod:`repro.analysis.certify`);
+  ledger (:mod:`repro.analysis.certify`); ``--update`` also rewrites
+  the golden output ledger beside it (:mod:`repro.analysis.golden`);
 * ``experiment`` — regenerate one paper table/figure (or ``all``);
 * ``engines`` — list the registered engines;
 * ``serve`` — boot a Mixen engine through the persistent layout store
@@ -63,6 +64,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -233,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     prove.add_argument(
         "--update", action="store_true",
         help="rewrite the ledger from the freshly computed certificates "
-        "instead of verifying against it",
+        "instead of verifying against it, and the golden output ledger "
+        "output_hashes.txt beside it (scale 1, every proxy run)",
     )
 
     serve = sub.add_parser(
@@ -253,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--kernel", choices=KERNEL_NAMES, default="reduceat",
         help="serving kernel, the top rung of the degradation ladder "
-        "(default reduceat; auto serves from reduceat)",
+        "(default reduceat, which holds no per-plan CSR matrix; auto "
+        "serves from bincount)",
     )
     serve.add_argument(
         "--mp-workers", type=int, default=None, metavar="N",
@@ -401,8 +405,9 @@ def _add_kernel_options(parser) -> None:
     parser.add_argument(
         "--kernel", choices=KERNEL_NAMES, default=None,
         help="SpMV backend for the blocked engines "
-        f"({', '.join(KERNEL_ENGINES)}; default reduceat, auto = "
-        "reduceat, parallel/parallel-mp are opt-in pool rungs)",
+        f"({', '.join(KERNEL_ENGINES)}; default bincount, compiled CSR "
+        "row sums; auto = bincount; parallel/parallel-mp are opt-in "
+        "pool rungs)",
     )
     parser.add_argument(
         "--validate", action="store_true",
@@ -846,17 +851,23 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_prove(args, out) -> int:
+    from .analysis import golden
     from .analysis.certify import DEFAULT_LEDGER, run_prove
 
+    ledger = Path(args.ledger or DEFAULT_LEDGER)
     report = run_prove(
         args.graph,
         scale=args.scale,
         block_nodes=args.block_nodes,
-        ledger_path=args.ledger or DEFAULT_LEDGER,
+        ledger_path=ledger,
         update=args.update,
     )
     print(report.render(), file=out)
     report.raise_on_failure()
+    if args.update:
+        hashes = ledger.parent / golden.LEDGER_NAME
+        count = golden.write_ledger(hashes)
+        print(f"golden output ledger: {count} hashes -> {hashes}", file=out)
     return 0
 
 

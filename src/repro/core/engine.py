@@ -16,9 +16,9 @@ Options expose the paper's design knobs for the ablation benches:
 Cache step), ``balance`` (block splitting), ``compress`` (edge compression
 in the traced bins) and ``block_nodes`` (the Figure 6/7 sweep parameter).
 ``kernel`` selects the backend that runs every phase's reduce plan
-(:mod:`repro.core.kernels`); the serial segmented-reduce ``reduceat``
-kernel is the default, and the opt-in pool kernels run each plan's
-partitions.
+(:mod:`repro.core.kernels`); the serial ``bincount`` kernel (compiled
+CSR row sums) is the default, and the opt-in pool kernels run each
+plan's partitions.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class MixenEngine(Engine):
         cache_step: bool = True,
         compress: bool = False,
         edge_values=None,
-        kernel: str = "reduceat",
+        kernel: str = "bincount",
         max_workers: int | None = None,
         validate: bool = False,
         race_check: bool | None = None,

@@ -11,13 +11,20 @@ block-column boundaries) and by the Cache step's ``static`` offset.
 
 Backends (the ``--kernel`` rungs):
 
-* ``bincount`` — one sequential ``np.bincount`` over the plan's ``dst``
-  stream (rank-k inputs go through one flattened bincount over
-  ``(dst, column)`` pairs).
+* ``bincount`` — compiled CSR row sums: the plan as a
+  ``scipy.sparse.csr_array`` (:attr:`ReducePlan.row_matrix`, built on
+  the first reduce and cached on the plan) times ``x``.  scipy's
+  ``csr_matvec``/``csr_matvecs`` fuse the gather into the sum and add
+  each row in stored order, which is ``np.bincount``'s order over the
+  ``dst`` stream, so the bits are those of a gather + bincount without
+  the message buffer.  ``scipy.sparse`` is imported lazily by that
+  first reduce, never at module import or by ``prepare``.  The default
+  of both blocked engines and the ``run``/``bfs`` commands: the fastest
+  measured kernel (DESIGN.md).
 * ``reduceat`` — one ``np.add.reduceat`` over the run table: O(m) work,
   no ``minlength`` zero-fill, native rank-k support via ``axis=0``.  The
-  default of every engine, CLI command and server: the fastest measured
-  kernel on the skewed proxies (DESIGN.md).
+  server's default: it holds no per-plan matrix (a server on
+  ``bincount`` peaked 13–21 MB higher on e2ebench ``serve-mixed``).
 * ``parallel`` — opt-in thread-pool execution: a Scatter pass gathers
   each partition's message slice, a Gather pass reduces each partition
   into its own output rows, each pass cut into one contiguous pool job
@@ -25,24 +32,27 @@ Backends (the ``--kernel`` rungs):
 * ``parallel-mp`` — process-pool execution: persistent workers attach
   to the packed plan and the input through shared memory and fuse
   Scatter and Gather per partition (:mod:`repro.parallel.procpool`).
-* ``auto`` — always ``reduceat``; both pool rungs stay opt-in by name.
+* ``auto`` — always ``bincount``; both pool rungs stay opt-in by name.
 
-The pool rungs accumulate with a serial base — ``bincount`` for 1-D
-inputs, ``reduceat`` for rank-k — and run the plan's partitions.
+The pool rungs accumulate with a serial base — a per-partition
+``np.bincount`` for 1-D inputs, ``reduceat`` for rank-k — and run the
+plan's partitions.
 
 Numerical contract.  The stable sort keeps each destination's messages
 in their original stream order, and every partition cut lands on a run
 boundary, so a partition owns whole destinations and a disjoint output
 row interval (proved by :func:`repro.analysis.races.prove_schedule`).
 Serial and pool execution of the same base are therefore bit-identical
-for any worker count.  ``bincount`` (sequential) and ``reduceat``
-(pairwise) differ by summation-order rounding only; on integer-valued
-inputs — degrees, frontiers, unit vectors — every rung is exact.
+for any worker count.  ``bincount`` (sequential, whether CSR row sums or
+``np.bincount``) and ``reduceat`` (pairwise) differ by summation-order
+rounding only; on integer-valued inputs — degrees, frontiers, unit
+vectors — every rung is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -109,6 +119,33 @@ class ReducePlan:
         spans."""
         ep, rp = self.part_edge_ptr, self.part_run_ptr
         return int(ep[p]), int(ep[p + 1]), int(rp[p]), int(rp[p + 1])
+
+    @cached_property
+    def row_matrix(self):
+        """The plan as a ``scipy.sparse.csr_array``: row ``d`` holds
+        destination ``d``'s messages in stream order (``indices`` = the
+        sources, ``data`` = the weights, or ones), so a matvec sums each
+        row sequentially in exactly ``np.bincount``'s order.
+
+        Built on first use by the ``bincount`` backend and cached on the
+        plan; never built by :func:`build_plan` or stored by the layout
+        store.  ``scipy.sparse`` is imported here, not at module import,
+        so preparation and runs on other backends never pay for it.
+        """
+        import scipy.sparse
+
+        indptr = np.searchsorted(
+            self.dst, np.arange(self.num_rows + 1, dtype=np.int64)
+        )
+        num_cols = int(self.src.max()) + 1 if self.src.size else 0
+        data = (
+            np.ones(self.src.size, dtype=VALUE_DTYPE)
+            if self.values is None
+            else self.values
+        )
+        return scipy.sparse.csr_array(
+            (data, self.src, indptr), shape=(self.num_rows, num_cols)
+        )
 
 
 def _cut_partitions(
@@ -274,12 +311,14 @@ def _out_shape(plan: ReducePlan, x: np.ndarray) -> tuple:
 # serial backends
 # --------------------------------------------------------------------- #
 def reduce_bincount(plan: ReducePlan, x, *, static=None, max_workers=None):
-    """Serial bincount backend: sequential accumulation over the
-    reduce-ordered stream, then the ``static`` offset."""
+    """Serial bincount backend: compiled CSR row sums over
+    :attr:`ReducePlan.row_matrix` (no materialized message buffer),
+    then the ``static`` offset.  Bit-identical to ``np.bincount`` over
+    the gathered stream (:func:`bincount_rows`): both add each row's
+    messages sequentially in stream order."""
     x = np.asarray(x, dtype=VALUE_DTYPE)
-    y = bincount_rows(
-        plan.dst, gather_messages(x, plan.src, plan.values), plan.num_rows
-    )
+    matrix = plan.row_matrix
+    y = matrix @ x[: matrix.shape[1]]
     if static is not None:
         y += static
     return y
@@ -423,9 +462,9 @@ KERNELS: dict[str, Callable] = {
 
 def resolve_kernel(name: str) -> str:
     """Resolve ``name`` to a concrete backend; ``auto`` is the default
-    ``reduceat``."""
+    ``bincount``."""
     if name == "auto":
-        return "reduceat"
+        return "bincount"
     if name not in KERNELS:
         raise EngineError(
             f"unknown kernel {name!r}; "

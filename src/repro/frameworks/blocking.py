@@ -386,7 +386,7 @@ class BlockingEngine(Engine):
         on the real machine; the scaled default matches the simulated L2).
     kernel:
         SpMV backend (:data:`repro.core.kernels.KERNEL_NAMES`); the
-        serial ``reduceat`` kernel is the default, and the opt-in pool
+        serial ``bincount`` kernel is the default, and the opt-in pool
         kernels run the plan's block-column partitions with auto worker
         selection.
     max_workers:
@@ -403,7 +403,7 @@ class BlockingEngine(Engine):
         *,
         block_nodes: int = 512,
         edge_values=None,
-        kernel: str = "reduceat",
+        kernel: str = "bincount",
         max_workers: int | None = None,
         validate: bool = False,
         race_check: bool | None = None,

@@ -107,11 +107,13 @@ class LigraEngine(Engine):
         def expand(frontier_mask, levels, level):
             # Ligra's edgeMap works on the index form of the bundle's mask.
             frontier = np.flatnonzero(frontier_mask).astype(np.int64)
-            frontier_edges = int(self._csr.degrees()[frontier].sum())
+            indptr = self._csr.indptr
+            frontier_edges = int(
+                (indptr[frontier + 1] - indptr[frontier]).sum()
+            )
             if frontier_edges < self.direction_threshold * m:
                 return top_down(
-                    self._csr.indptr, self._csr.indices, frontier,
-                    levels, level,
+                    indptr, self._csr.indices, frontier, levels, level
                 )
             return self._bottom_up(frontier, levels, level)
 

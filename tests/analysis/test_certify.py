@@ -325,6 +325,9 @@ class TestCLI:
             == 0
         )
         assert path.exists()
+        hashes = (tmp_path / "output_hashes.txt").read_text().splitlines()
+        assert hashes[0].startswith("# numpy")
+        assert "golden output ledger" in out.getvalue()
         assert main(["prove", "--ledger", str(path)], out=io.StringIO()) == 0
 
     def test_analyze_certify_against_committed_ledger(self):

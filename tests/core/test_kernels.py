@@ -10,10 +10,16 @@ Contracts verified across random skewed graphs:
   float addition is exact under any association order; on arbitrary
   floats, bincount vs reduceat agree to summation-order rounding;
 * the bincount base over the reduce-ordered plan equals the legacy
-  gather-order bincount bit for bit;
+  gather-order bincount bit for bit, and its compiled CSR row sums equal
+  the legacy ``np.take`` + ``np.bincount`` stream on every plan shape;
 * empty-graph / single-block edge cases, ``auto`` resolution, and the
-  reduceat-by-default engines.
+  bincount-by-default engines.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +31,7 @@ from repro.core import MixenEngine
 from repro.core.kernels import (
     KERNEL_NAMES,
     KERNELS,
+    build_plan,
     reduce,
     reduce_bincount,
     reduce_parallel,
@@ -204,6 +211,137 @@ class TestKernelEquivalence:
             assert np.allclose(got, expect, atol=1e-9), name
 
 
+def legacy_take_bincount(plan, x, static=None):
+    """The ``bincount`` rung as it ran before the CSR row sums: gather
+    the message stream with ``np.take``, weight it, one bincount."""
+    x = np.asarray(x, dtype=np.float64)
+    msgs = np.take(x, plan.src, axis=0)
+    if plan.values is not None:
+        msgs = msgs * (plan.values if x.ndim == 1 else plan.values[:, None])
+    rows = plan.num_rows
+    if x.ndim == 1:
+        y = np.bincount(plan.dst, weights=msgs, minlength=rows)
+    else:
+        k = x.shape[1]
+        flat = plan.dst[:, None] * k + np.arange(k)
+        y = np.bincount(
+            flat.ravel(), weights=msgs.ravel(), minlength=rows * k
+        ).reshape(rows, k)
+    y = y.astype(np.float64)  # an empty bincount is int64
+    if static is not None:
+        y += static
+    return y
+
+
+@st.composite
+def plan_cases(draw):
+    """(plan, rng) of one random reduce plan: empty plans, rows no
+    message reaches (``num_rows`` past the largest destination) and
+    unsorted weighted streams included."""
+    num_rows = draw(st.integers(min_value=0, max_value=60))
+    num_cols = draw(st.integers(min_value=1, max_value=60))
+    m = draw(st.integers(min_value=0, max_value=300)) if num_rows else 0
+    weighted = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src = rng.integers(0, num_cols, m)
+    dst = rng.integers(0, max(num_rows // 2, 1), m)
+    values = rng.standard_normal(m) if weighted else None
+    return build_plan("case", num_rows, src, dst, values=values), rng
+
+
+def assert_csr_matches_legacy(plan, x, static):
+    expect = legacy_take_bincount(plan, x, static)
+    got = reduce_bincount(plan, x, static=static)
+    assert got.shape == expect.shape and got.dtype == expect.dtype
+    assert np.array_equal(got, expect)
+
+
+class TestCsrBincount:
+    """The ``bincount`` rung's compiled CSR row sums add each row's
+    messages in stream order, exactly as ``np.bincount`` does: the same
+    bits as the legacy gather + bincount on every input."""
+
+    @given(plan_cases(), st.sampled_from((None, 1, 3)), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_legacy_take_bincount(self, case, rank, with_static):
+        plan, rng = case
+        cols = int(plan.src.max()) + 1 if plan.num_messages else 0
+        cols += int(rng.integers(0, 3))  # inputs may be longer than used
+        shape = (cols,) if rank is None else (cols, rank)
+        x = rng.standard_normal(shape)
+        out_shape = (plan.num_rows,) + shape[1:]
+        static = rng.standard_normal(out_shape) if with_static else None
+        assert_csr_matches_legacy(plan, x, static)
+
+    def test_empty_plan_and_unreached_rows_are_zero(self):
+        empty = build_plan("empty", 5, [], [])
+        assert np.array_equal(reduce_bincount(empty, np.ones(3)), np.zeros(5))
+        assert np.array_equal(
+            reduce_bincount(empty, np.ones((3, 2))), np.zeros((5, 2))
+        )
+        plan = build_plan("gap", 6, [0, 1, 1], [4, 1, 4])
+        assert np.array_equal(
+            reduce_bincount(plan, np.array([2.0, 3.0])),
+            [0.0, 3.0, 0.0, 0.0, 5.0, 0.0],
+        )
+
+    @pytest.mark.parametrize("rank", (None, 1, 4))
+    @pytest.mark.parametrize("plan_name", ("main", "seed_push", "sink_pull"))
+    def test_real_plans(self, mixen_pld, plan_name, rank):
+        plan = {
+            "main": mixen_pld.partition.layout.reduce_plan,
+            "seed_push": mixen_pld.mixed.seed_push_plan,
+            "sink_pull": mixen_pld.mixed.sink_pull_plan,
+        }[plan_name]
+        assert plan.num_messages > 0
+        rng = np.random.default_rng(5)
+        cols = int(plan.src.max()) + 1
+        shape = (cols,) if rank is None else (cols, rank)
+        x = rng.random(shape)
+        static = rng.random((plan.num_rows,) + shape[1:])
+        assert_csr_matches_legacy(plan, x, None)
+        assert_csr_matches_legacy(plan, x, static)
+
+    def test_matrix_is_cached_on_the_plan(self, mixen_pld):
+        plan = mixen_pld.mixed.sink_pull_plan
+        assert plan.row_matrix is plan.row_matrix
+
+    def test_scipy_sparse_loads_on_first_reduce_only(self):
+        # prepare builds no CSR matrix and imports no scipy.sparse; the
+        # first bincount reduce of a run does both.
+        code = (
+            "import sys\n"
+            "from repro.algorithms import PageRank\n"
+            "from repro.core.engine import MixenEngine\n"
+            "from repro.graphs import load_dataset\n"
+            "engine = MixenEngine(load_dataset('wiki', scale=0.25))\n"
+            "engine.prepare()\n"
+            "print('scipy.sparse' in sys.modules)\n"
+            "engine.run(PageRank(), max_iterations=2)\n"
+            "print('scipy.sparse' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False", "True"]
+
+
+@pytest.fixture(scope="module")
+def mixen_pld():
+    from repro.graphs import load_dataset
+
+    engine = MixenEngine(load_dataset("pld", scale=0.25))
+    engine.prepare()
+    return engine
+
+
 class TestEdgeCases:
     @pytest.mark.parametrize("kernel", ("bincount", "reduceat", "parallel"))
     def test_no_edges(self, kernel):
@@ -258,12 +396,13 @@ class TestDispatch:
             spmv(layout, np.zeros(4), kernel="nope")
 
     def test_auto_small_graph_is_reduceat(self):
+        # Named for the pre-CSR default; auto now resolves to bincount.
         e = np.empty(0, dtype=np.int64)
         layout = build_block_layout(e, e, 4, 4)
-        assert resolve_kernel("auto") == "reduceat"
+        assert resolve_kernel("auto") == "bincount"
         x = np.arange(4.0)
         assert np.array_equal(
-            spmv(layout, x, kernel="auto"), spmv_reduceat(layout, x)
+            spmv(layout, x, kernel="auto"), spmv_bincount(layout, x)
         )
 
     @pytest.mark.parametrize("workers", (1, 2, 8))
@@ -271,15 +410,16 @@ class TestDispatch:
         self, monkeypatch, workers
     ):
         # auto has no size or host-width heuristic: a graph far above any
-        # former threshold on a wide host still resolves to reduceat.
+        # former threshold on a wide host still resolves to the default
+        # (bincount; the name predates the switch from reduceat).
         monkeypatch.setenv("REPRO_NUM_THREADS", str(workers))
         rng = np.random.default_rng(workers)
         src, dst = skewed_edges(rng, 2000, 300_000)
         layout = build_block_layout(src, dst, 2000, 256)
-        assert resolve_kernel("auto") == "reduceat"
+        assert resolve_kernel("auto") == "bincount"
         x = rng.random(2000)
         assert np.array_equal(
-            spmv(layout, x, kernel="auto"), spmv_reduceat(layout, x)
+            spmv(layout, x, kernel="auto"), spmv_bincount(layout, x)
         )
 
     def test_auto_is_not_registrable(self):
@@ -290,11 +430,12 @@ class TestDispatch:
 
 class TestParallelByDefaultEngines:
     """Engines built without a ``kernel`` argument (the default moved
-    from the thread-pool rung to ``reduceat``)."""
+    from the thread-pool rung to ``reduceat``, then to ``bincount``;
+    test names keep the earlier defaults)."""
 
     def test_engines_default_to_reduceat_kernel(self, random_graph):
-        assert MixenEngine(random_graph).kernel == "reduceat"
-        assert BlockingEngine(random_graph).kernel == "reduceat"
+        assert MixenEngine(random_graph).kernel == "bincount"
+        assert BlockingEngine(random_graph).kernel == "bincount"
 
     def test_invalid_kernel_rejected_at_construction(self, random_graph):
         with pytest.raises(Exception, match="unknown kernel"):
@@ -307,7 +448,7 @@ class TestParallelByDefaultEngines:
         self, engine_cls, random_graph
     ):
         default = engine_cls(random_graph)
-        serial = engine_cls(random_graph, kernel="reduceat")
+        serial = engine_cls(random_graph, kernel="bincount")
         default.prepare()
         serial.prepare()
         rng = np.random.default_rng(3)
@@ -321,7 +462,7 @@ class TestParallelByDefaultEngines:
         self, algorithm, random_graph
     ):
         default = MixenEngine(random_graph)
-        serial = MixenEngine(random_graph, kernel="reduceat")
+        serial = MixenEngine(random_graph, kernel="bincount")
         default.prepare()
         serial.prepare()
         got = default.run(algorithm(), max_iterations=10)
@@ -331,7 +472,7 @@ class TestParallelByDefaultEngines:
 
     def test_bfs_unchanged_vs_serial_kernel(self, random_graph):
         default = MixenEngine(random_graph)
-        serial = MixenEngine(random_graph, kernel="bincount")
+        serial = MixenEngine(random_graph, kernel="reduceat")
         default.prepare()
         serial.prepare()
         assert np.array_equal(default.run_bfs(0), serial.run_bfs(0))

@@ -149,11 +149,14 @@ class TestDegradationLadder:
         assert server.report.batch_kernels == {"reduceat"}
 
     def test_auto_serves_from_reduceat(self, random_graph, tmp_path):
+        # Named for the pre-CSR default: auto now resolves to bincount,
+        # the ladder's serial floor, so one crash leaves no rung below.
         engine, _ = boot_engine(
             random_graph, LayoutStore(tmp_path / "auto"), kernel="auto"
         )
         server = MixenServer(engine, config=_config())
-        assert server.health()["kernel"] == "reduceat"
+        assert server.health()["kernel"] == "bincount"
+        assert _drive(server, [[3]])[0].kernel == "bincount"
         faults.install(
             faults.parse_fault_spec("crash:site=serve_batch,times=1")
         )
@@ -161,8 +164,8 @@ class TestDegradationLadder:
             outcomes = _drive(server, [[3]])
         finally:
             faults.clear()
-        # the ladder below auto is reduceat -> bincount
-        assert outcomes[0].kernel == "bincount"
+        assert isinstance(outcomes[0], ServeError)
+        assert "serial floor" in str(outcomes[0])
         assert server.report.downgrades == 1
 
     def test_ladder_exhaustion_fails_typed(self, served_engine):

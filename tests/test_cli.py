@@ -282,7 +282,9 @@ class TestTuneCommand:
 
 
 class TestDefaultKernel:
-    """Commands run without ``--kernel`` use the ``reduceat`` kernel."""
+    """Commands run without ``--kernel``: ``run``/``bfs`` build
+    ``bincount`` engines, ``serve`` keeps ``reduceat`` (test names keep
+    the earlier batch default)."""
 
     @pytest.mark.parametrize("command", ("run", "bfs"))
     @pytest.mark.parametrize("engine_name", ("mixen", "block"))
@@ -305,7 +307,7 @@ class TestDefaultKernel:
             argv += ["--iterations", "2"]
         code, _ = run_cli(*argv)
         assert code == 0
-        assert [engine.kernel for engine in built] == ["reduceat"]
+        assert [engine.kernel for engine in built] == ["bincount"]
 
     def test_serve_drill_serves_from_reduceat(self, tmp_path):
         import json
@@ -323,11 +325,12 @@ class TestDefaultKernel:
     def test_serve_socket_auto_reports_reduceat(self, tmp_path):
         from repro.serve import request
 
+        # --kernel auto resolves like the batch default, to bincount.
         with socket_server(tmp_path, "--kernel", "auto") as path:
             health = request(path, {"op": "health"})
-            assert health["ok"] and health["health"]["kernel"] == "reduceat"
+            assert health["ok"] and health["health"]["kernel"] == "bincount"
             reply = request(path, {"op": "query", "sources": [3, 17]})
-            assert reply["ok"] and reply["kernel"] == "reduceat"
+            assert reply["ok"] and reply["kernel"] == "bincount"
 
 
 class TestServeRestart:
