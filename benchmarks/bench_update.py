@@ -7,8 +7,8 @@ The one update path — the server's — lands each
 CSR patch, verified, falling back to the from-scratch rebuild) and then
 prepares a fresh engine on the updated graph.  The bench times that
 patch per batch against the from-scratch oracle: rebuild the edge set
-(``O(m log m)``) and re-run the whole layout pipeline
-(``MixenEngine.prepare``).  The guard below requires a measured >= 3x
+(two stable radix passes over all m edges) and re-run the whole layout
+pipeline (``MixenEngine.prepare``).  The guard below requires a measured >= 3x
 win at the smallest batch size.
 
 Records the sweep to ``bench_results/update.json``.  Run from the repo

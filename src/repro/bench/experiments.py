@@ -208,16 +208,23 @@ def _paper_headline(framework: str) -> str:
 # --------------------------------------------------------------------- #
 def table4(*, scale: float = 1.0, graphs=DATASET_NAMES) -> ExperimentResult:
     """Table 4: preprocessing time per framework, with Mixen's
-    filter/partition/prove breakdown."""
+    filter/partition/prove breakdown.
+
+    Every cell is the median of 7 fresh preparations; each row also
+    carries the quartiles of every framework's total (``<framework>_q1``
+    / ``_q3``), and the text table shows GPOP's and Mixen's."""
     from .runner import time_prepare
 
     result = ExperimentResult(
         name="table4_preprocessing",
-        title="Table 4: preprocessing overheads (seconds)",
+        title=(
+            "Table 4: preprocessing overheads (seconds, median of "
+            "7 prepares; q1/q3 = quartiles)"
+        ),
         headers=[
             "graph", "GPOP", "Ligra", "Polymer", "GraphMat",
             "Mixen_filter", "Mixen_partition", "Mixen_prove",
-            "Mixen_total",
+            "Mixen_total", "GPOP_q1", "GPOP_q3", "Mixen_q1", "Mixen_q3",
         ],
     )
     for gname in graphs:
@@ -226,14 +233,15 @@ def table4(*, scale: float = 1.0, graphs=DATASET_NAMES) -> ExperimentResult:
         for fw, label in (
             ("block", "GPOP"), ("ligra", "Ligra"),
             ("polymer", "Polymer"), ("graphmat", "GraphMat"),
+            ("mixen", "Mixen_total"),
         ):
-            total, _ = time_prepare(lambda fw=fw: _engine(fw, g))
-            row[label] = total
-        total, breakdown = time_prepare(lambda: _engine("mixen", g))
-        row["Mixen_filter"] = breakdown.get("filter", 0.0)
-        row["Mixen_partition"] = breakdown.get("partition", 0.0)
-        row["Mixen_prove"] = breakdown.get("prove", 0.0)
-        row["Mixen_total"] = total
+            timing = time_prepare(lambda fw=fw: _engine(fw, g))
+            row[label] = timing.median
+            stem = label.removesuffix("_total")
+            row[f"{stem}_q1"] = timing.q1
+            row[f"{stem}_q3"] = timing.q3
+        for stage in ("filter", "partition", "prove"):
+            row[f"Mixen_{stage}"] = timing.breakdown.get(stage, 0.0)
         result.rows.append(row)
     result.notes.append(
         "GPOP/Mixen ingest the CSR binary directly; Ligra/Polymer/GraphMat "

@@ -119,18 +119,32 @@ def time_coupled(
     return Timing(elapsed, result.iterations)
 
 
-def time_prepare(engine_factory, *, repeats: int = 3):
-    """Median preparation time with per-stage breakdown (Table 4).
+@dataclass(frozen=True)
+class PrepareTiming:
+    """Preparation seconds of ``repeats`` fresh engines: the median and
+    quartiles of the totals, and each stage's median (Table 4)."""
+
+    median: float
+    q1: float
+    q3: float
+    breakdown: dict
+
+
+def time_prepare(engine_factory, *, repeats: int = 7) -> PrepareTiming:
+    """Time ``repeats`` preparations (Table 4).
 
     ``engine_factory`` must build a *fresh, unprepared* engine per call.
-    Returns ``(median_total_seconds, breakdown_of_median_run)``.
     """
     if repeats <= 0:
         raise EngineError(f"repeats must be positive, got {repeats}")
-    runs = []
+    totals, stages = [], []
     for _ in range(repeats):
-        engine = engine_factory()
-        stats = engine.prepare()
-        runs.append((stats.seconds, stats.breakdown))
-    runs.sort(key=lambda r: r[0])
-    return runs[len(runs) // 2]
+        stats = engine_factory().prepare()
+        totals.append(stats.seconds)
+        stages.append(stats.breakdown)
+    q1, median, q3 = np.percentile(totals, [25, 50, 75])
+    breakdown = {
+        name: float(np.median([stage[name] for stage in stages]))
+        for name in stages[0]
+    }
+    return PrepareTiming(float(median), float(q1), float(q3), breakdown)

@@ -1,14 +1,17 @@
 """The Mixen engine: the paper's contribution, behind the common Engine API.
 
 Preparation (the Table 4 costs) = **filter** (classification, relabeling,
-mixed-format extraction; Section 4.1) + **partition** (2-D blocking and
-the Pre/Post-Phase plans; Section 4.2) + **prove** (the plans' race
-proofs and the Main-Phase certificate, plus the contract checks under
-``validate``).  Preparation builds only what the kernels, proofs and
-certificate read: the dynamic-bin census (:attr:`MixenEngine.bin_stats`)
-and the balanced task list (:attr:`RegularPartition.tasks`) feed only
-the machine model and the experiments, so both are computed on first
-read.  Execution follows Algorithm 3's Pre/Main/Post schedule
+mixed-format extraction; Section 4.1) + **partition** (the
+destination-major Main-Phase plan of the regular subgraph, cut at the
+block-columns, and the Pre/Post-Phase plans; Section 4.2) + **prove**
+(the plans' race proofs and the Main-Phase certificate, plus the
+contract checks under ``validate``).  Every structure is one stable
+O(m) radix sort (:func:`repro.graphs.csr.radix_order`).  Preparation
+builds only what the kernels, proofs and certificate read: the 2-D
+blocked orders of the layout, the dynamic-bin census
+(:attr:`MixenEngine.bin_stats`) and the balanced task list
+(:attr:`RegularPartition.tasks`) feed only the machine model and the
+experiments, so all three are computed on first read.  Execution follows Algorithm 3's Pre/Main/Post schedule
 (:mod:`repro.core.scheduler`).
 
 Options expose the paper's design knobs for the ablation benches:

@@ -58,6 +58,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import EngineError
+from ..graphs.csr import radix_order
 from ..types import VALUE_DTYPE
 
 #: kernel names accepted by engines and the CLI ``--kernel`` flag.
@@ -185,8 +186,9 @@ def build_plan(
 ) -> ReducePlan:
     """Plan the reduce of messages ``src -> dst`` into ``num_rows`` rows.
 
-    The stream is stable-sorted by destination (skipped when it already
-    is), so each destination's messages keep their input order — the
+    The stream is stable-sorted by destination with the O(m) radix
+    order (:func:`repro.graphs.csr.radix_order`; skipped when it already
+    is sorted), so each destination's messages keep their input order — the
     bit-identity anchor of the bincount base.  ``values`` are per-message
     weights in input order.  Partitions are cut at the row boundaries
     ``row_bounds`` when given (the Main-Phase's block-columns), otherwise
@@ -197,7 +199,7 @@ def build_plan(
     if values is not None:
         values = np.asarray(values, dtype=VALUE_DTYPE)
     if dst.size > 1 and bool((dst[1:] < dst[:-1]).any()):
-        order = np.argsort(dst, kind="stable")
+        order = radix_order(dst)
         src, dst = src[order], dst[order]
         if values is not None:
             values = values[order]

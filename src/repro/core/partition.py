@@ -2,8 +2,10 @@
 (Section 4.2).
 
 The filtered regular subgraph is cut into ``b x b`` cache-sized blocks via
-the shared :class:`~repro.frameworks.blocking.BlockLayout`.  Because the
-filtering step concentrates hubs at the front of the vertex set, the
+the shared :class:`~repro.frameworks.blocking.BlockLayout`, which takes
+the regular CSR as is and builds only the Main-Phase plan up front; its
+blocked orders are built when the machine model first reads them.
+Because the filtering step concentrates hubs at the front of the vertex set, the
 top-left blocks can hold a disproportionate share of the non-zeros; the
 paper's balancing scheme estimates per-block load by non-zero count and
 splits any block above twice the average into smaller scheduling units.
@@ -20,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import PartitionError
-from ..frameworks.blocking import BlockLayout, build_block_layout
+from ..frameworks.blocking import BlockLayout
 from ..graphs.csr import CSR
 
 
@@ -101,9 +103,12 @@ def partition_regular(
         raise PartitionError(
             f"max_load_factor must be positive, got {max_load_factor}"
         )
-    layout = build_block_layout(
-        rr.row_ids(), rr.indices, rr.num_rows, block_nodes, values=values
+    layout = BlockLayout(
+        rr.num_rows, block_nodes, rr.indptr, rr.indices, values
     )
+    # The Main-Phase plan is the one structure a run executes; the
+    # blocked orders wait for the machine model.
+    layout.reduce_plan
     return RegularPartition(layout, balance, max_load_factor)
 
 

@@ -11,12 +11,17 @@ The graph is partitioned into ``b x b`` cache-sized blocks.  Per iteration:
   range — random jumps only when switching bins, i.e. ``b^2`` per iteration
   (the Section 3 blocking model).
 
-The native kernel realizes this with two precomputed edge permutations:
-``scatter order`` = edges sorted by (block-row, block-col, src), in which
-bin writes are one sequential stream; and a ``gather permutation`` mapping
-bin slots into (block-col, block-row) order for the accumulation.
-:class:`BlockLayout` packages those permutations; Mixen reuses it for its
-regular subgraph (:mod:`repro.core.partition`).
+That blocked two-phase pattern is the machine model's (Figures 4–7,
+Table 3 modeled, the tuner).  The executed kernels stream one
+destination-major :class:`~repro.core.kernels.ReducePlan` instead, made
+from the source-major edges by one stable O(m) radix sort
+(:func:`repro.graphs.csr.radix_order`) and cut into block-column
+partitions.  :class:`BlockLayout` therefore holds only the source-major
+edges and that plan; its blocked orders — ``scatter order`` (edges by
+block-row, block-col, src), the ``gather permutation`` into
+(block-col, block-row) order and both block pointers — are built on
+first read, so preparation never pays for the 2-D blocking.  Mixen
+reuses the layout for its regular subgraph (:mod:`repro.core.partition`).
 """
 
 from __future__ import annotations
@@ -28,39 +33,72 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import PartitionError
+from ..graphs.csr import radix_order
 from ..types import UNREACHED, VALUE_DTYPE
 from .base import Engine
 
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Edge permutations and block offsets of one 2-D blocking.
+    """One edge set under a 2-D blocking of ``block_nodes``-node blocks.
 
-    ``b = ceil(n / block_nodes)`` blocks per side.  Edges live in two
-    orders: *scatter order* (block-row major) and *gather order*
-    (block-column major); ``gather_perm`` maps scatter slots to gather
-    sequence.  ``scatter_block_ptr``/``gather_block_ptr`` give each block's
-    contiguous slice in its respective order (block id ``i * b + j`` for
+    The edges are held source-major, as a CSR: ``indices[indptr[u]:
+    indptr[u + 1]]`` are ``u``'s out-neighbours, and ``values`` (or
+    ``None``) are per-edge weights in that order.  From them come the
+    executed structures — :attr:`reduce_plan` (built by
+    :func:`build_block_layout` and the engines' prepare) and
+    :attr:`source_index` — and, on first read only, the machine model's
+    blocked orders: ``b = ceil(n / block_nodes)`` blocks per side,
+    *scatter order* (block-row major, :attr:`src_scatter` /
+    :attr:`dst_scatter` / :attr:`values_scatter`), *gather order*
+    (block-column major, :attr:`src_gather` / :attr:`dst_gather`),
+    :attr:`gather_perm` mapping scatter slots to gather sequence, and
+    :attr:`scatter_block_ptr` / :attr:`gather_block_ptr` giving each
+    block's contiguous slice in its order (block id ``i * b + j`` for
     scatter, ``j * b + i`` for gather).
     """
 
     num_nodes: int
     block_nodes: int
-    num_blocks_per_side: int
-    src_scatter: np.ndarray = field(repr=False)
-    dst_scatter: np.ndarray = field(repr=False)
-    gather_perm: np.ndarray = field(repr=False)
-    src_gather: np.ndarray = field(repr=False)
-    dst_gather: np.ndarray = field(repr=False)
-    scatter_block_ptr: np.ndarray = field(repr=False)
-    gather_block_ptr: np.ndarray = field(repr=False)
-    #: optional per-edge values in scatter order (weighted SpMV).
-    values_scatter: np.ndarray | None = field(default=None, repr=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    values: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.block_nodes <= 0:
+            raise PartitionError(
+                f"block_nodes must be positive, got {self.block_nodes}"
+            )
+        if self.num_nodes < 0:
+            raise PartitionError(
+                f"num_nodes must be >= 0, got {self.num_nodes}"
+            )
+        if np.shape(self.indptr) != (self.num_nodes + 1,):
+            raise PartitionError(
+                f"indptr must have length num_nodes+1={self.num_nodes + 1}"
+            )
+        if self.values is not None and np.shape(self.values) != np.shape(
+            self.indices
+        ):
+            raise PartitionError(
+                "edge values must align with the edge arrays"
+            )
+
+    @property
+    def num_blocks_per_side(self) -> int:
+        """``b = ceil(n / c)`` (at least 1)."""
+        return max(-(-self.num_nodes // self.block_nodes), 1)
 
     @property
     def num_edges(self) -> int:
         """Edges covered by the layout."""
-        return int(self.src_scatter.size)
+        return int(self.indices.size)
+
+    def row_ids(self) -> np.ndarray:
+        """Per-edge sources, source-major (int64)."""
+        return np.repeat(
+            np.arange(self.num_nodes, dtype=np.int64), np.diff(self.indptr)
+        )
 
     def block_nnz(self) -> np.ndarray:
         """Non-zeros per block (b*b,), block-row-major — the load estimate
@@ -69,10 +107,10 @@ class BlockLayout:
 
     @cached_property
     def reduce_plan(self):
-        """The Main-Phase segmented-reduce plan of this layout (built
-        eagerly by :func:`build_block_layout`): its partitions are the
-        block-columns, run-aligned by construction because a destination
-        never spans two columns."""
+        """The Main-Phase segmented-reduce plan of this layout: the
+        source-major edges stable-sorted by destination, partitioned at
+        the block-columns (run-aligned by construction, because a
+        destination never spans two columns)."""
         from ..core.kernels import build_plan
 
         bounds = (
@@ -82,12 +120,87 @@ class BlockLayout:
         return build_plan(
             "main",
             self.num_nodes,
-            self.src_scatter,
-            self.dst_scatter,
-            values=self.values_scatter,
+            self.row_ids(),
+            self.indices,
+            values=self.values,
             row_bounds=bounds,
         )
 
+    # ------------------------------------------------------------------ #
+    # the blocked orders: machine-model inputs, built on first read
+    # ------------------------------------------------------------------ #
+    def _block_ids(self, *, transpose: bool = False) -> np.ndarray:
+        """Per-edge block id in source-major order: ``i * b + j`` (or
+        ``j * b + i`` with ``transpose``), in int64 so ``b * b`` past
+        2**31 cannot wrap."""
+        c, b = self.block_nodes, self.num_blocks_per_side
+        i_blk = self.row_ids() // c
+        j_blk = self.indices.astype(np.int64) // c
+        return j_blk * b + i_blk if transpose else i_blk * b + j_blk
+
+    @cached_property
+    def _scatter_order(self) -> np.ndarray:
+        """Source-major slot of each scatter-order edge.  One stable
+        sort by block id: the stream is already sorted by source, so
+        this is the (block-row, block-col, src) order with duplicate
+        edges in input order."""
+        b = self.num_blocks_per_side
+        return radix_order(self._block_ids(), b * b)
+
+    @cached_property
+    def src_scatter(self) -> np.ndarray:
+        """Edge sources in scatter order."""
+        return self.row_ids()[self._scatter_order]
+
+    @cached_property
+    def dst_scatter(self) -> np.ndarray:
+        """Edge destinations in scatter order."""
+        return self.indices.astype(np.int64)[self._scatter_order]
+
+    @cached_property
+    def values_scatter(self) -> np.ndarray | None:
+        """Per-edge weights in scatter order (``None`` if unweighted)."""
+        if self.values is None:
+            return None
+        return np.asarray(self.values, dtype=VALUE_DTYPE)[
+            self._scatter_order
+        ]
+
+    @cached_property
+    def gather_perm(self) -> np.ndarray:
+        """Scatter slot of each gather-order edge: scatter order
+        stable-sorted by (block-col, block-row, dst), as two radix
+        passes, minor key first."""
+        b = self.num_blocks_per_side
+        order = radix_order(self.dst_scatter)
+        blocks = self._block_ids(transpose=True)[self._scatter_order]
+        return order[radix_order(blocks[order], b * b)]
+
+    @cached_property
+    def src_gather(self) -> np.ndarray:
+        """Edge sources in gather order."""
+        return self.src_scatter[self.gather_perm]
+
+    @cached_property
+    def dst_gather(self) -> np.ndarray:
+        """Edge destinations in gather order."""
+        return self.dst_scatter[self.gather_perm]
+
+    @cached_property
+    def scatter_block_ptr(self) -> np.ndarray:
+        """Each block's slice of the scatter order (id ``i * b + j``)."""
+        b = self.num_blocks_per_side
+        return _block_offsets(self._block_ids(), b * b)
+
+    @cached_property
+    def gather_block_ptr(self) -> np.ndarray:
+        """Each block's slice of the gather order (id ``j * b + i``)."""
+        b = self.num_blocks_per_side
+        return _block_offsets(self._block_ids(transpose=True), b * b)
+
+    # ------------------------------------------------------------------ #
+    # execution
+    # ------------------------------------------------------------------ #
     def spmv(
         self,
         x: np.ndarray,
@@ -119,18 +232,11 @@ class BlockLayout:
         """Source-major view ``(indptr, dst)`` of the layout's edges:
         ``dst[indptr[u]:indptr[u + 1]]`` are ``u``'s out-neighbours.
 
-        A stable argsort of ``src_scatter`` plus per-source pointers,
-        built by the first :meth:`frontier_step` (never by
-        :func:`build_block_layout`), so preparation, the layout store
-        and served updates do not pay for it.
-        """
-        order = np.argsort(self.src_scatter, kind="stable")
-        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(self.src_scatter, minlength=self.num_nodes),
-            out=indptr[1:],
-        )
-        return indptr, self.dst_scatter[order]
+        The layout's own CSR, with its ids widened to ``intp`` on the
+        first BFS (never by prepare): a top-down level indexes
+        ``levels`` with the neighbour ids three times, and numpy would
+        otherwise convert a narrower index array on every one."""
+        return self.indptr, self.indices.astype(np.intp, copy=False)
 
     def frontier_step(
         self, frontier: np.ndarray, visited_levels: np.ndarray, level: int
@@ -142,7 +248,8 @@ class BlockLayout:
         A level whose frontier has fewer out-edges than
         :data:`~repro.algorithms.bfs.DIRECTION_THRESHOLD` of the
         layout's edges expands top-down over :attr:`source_index`;
-        wider levels sweep every edge in the blocked gather order.
+        wider levels sweep every edge of the destination-major
+        :attr:`reduce_plan`.
         """
         from ..algorithms.bfs import DIRECTION_THRESHOLD, top_down
 
@@ -151,8 +258,9 @@ class BlockLayout:
         frontier_edges = int((indptr[active + 1] - indptr[active]).sum())
         if frontier_edges < DIRECTION_THRESHOLD * self.num_edges:
             return top_down(indptr, dst, active, visited_levels, level)
+        plan = self.reduce_plan
         new_frontier = np.zeros(self.num_nodes, dtype=bool)
-        new_frontier[self.dst_gather[frontier[self.src_gather]]] = True
+        new_frontier[plan.dst[frontier[plan.src]]] = True
         new_frontier &= visited_levels == UNREACHED
         visited_levels[new_frontier] = level
         return new_frontier
@@ -166,13 +274,13 @@ def build_block_layout(
     *,
     values: np.ndarray | None = None,
 ) -> BlockLayout:
-    """Compute the 2-D block layout of an edge set (one parallel-friendly
-    pass of lexsorts, as in Section 4.2's "easily implemented by
-    partitioning the CSR into multiple local CSRs")."""
-    if block_nodes <= 0:
-        raise PartitionError(
-            f"block_nodes must be positive, got {block_nodes}"
-        )
+    """The block layout of an edge set, with its Main-Phase plan built.
+
+    Edges not already source-major are put in that order by a stable
+    radix sort on ``src`` (duplicates keep their input order, and
+    ``values`` follow them).  The blocked orders are left to first read
+    (:class:`BlockLayout`).
+    """
     if num_nodes < 0:
         raise PartitionError(f"num_nodes must be >= 0, got {num_nodes}")
     src = np.asarray(src, dtype=np.int64)
@@ -185,49 +293,23 @@ def build_block_layout(
             raise PartitionError(
                 "edge values must align with the edge arrays"
             )
-    c = block_nodes
-    b = max(-(-num_nodes // c), 1)
-    i_blk = src // c
-    j_blk = dst // c
-
-    scatter_order = np.lexsort((src, j_blk, i_blk))
-    src_s = src[scatter_order]
-    dst_s = dst[scatter_order]
-    i_s = i_blk[scatter_order]
-    j_s = j_blk[scatter_order]
-
-    gather_perm = np.lexsort((dst_s, i_s, j_s))
-    dst_g = dst_s[gather_perm]
-    src_g = src_s[gather_perm]
-
-    scatter_ptr = _block_offsets(i_s * b + j_s, b * b)
-    gather_ptr = _block_offsets(
-        j_s[gather_perm] * b + i_s[gather_perm], b * b
-    )
-    layout = BlockLayout(
-        num_nodes=num_nodes,
-        block_nodes=c,
-        num_blocks_per_side=b,
-        src_scatter=src_s,
-        dst_scatter=dst_s,
-        gather_perm=gather_perm,
-        src_gather=src_g,
-        dst_gather=dst_g,
-        scatter_block_ptr=scatter_ptr,
-        gather_block_ptr=gather_ptr,
-        values_scatter=None if values is None else values[scatter_order],
-    )
-    # Precompute the segmented-reduce schedule while the sort results are
-    # hot, so every later spmv pays only the gather + reduceat.
+    if src.size and (int(src.min()) < 0 or int(src.max()) >= num_nodes):
+        raise PartitionError(f"edge sources fall outside [0, {num_nodes})")
+    if src.size > 1 and bool((src[1:] < src[:-1]).any()):
+        order = radix_order(src, num_nodes)
+        src, dst = src[order], dst[order]
+        if values is not None:
+            values = values[order]
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
+    layout = BlockLayout(num_nodes, block_nodes, indptr, dst, values)
     layout.reduce_plan
     return layout
 
 
-def _block_offsets(
-    sorted_block_ids: np.ndarray, num_blocks: int
-) -> np.ndarray:
+def _block_offsets(block_ids: np.ndarray, num_blocks: int) -> np.ndarray:
     """Offsets of each block's slice inside a block-sorted edge array."""
-    counts = np.bincount(sorted_block_ids, minlength=num_blocks)
+    counts = np.bincount(block_ids, minlength=num_blocks)
     ptr = np.zeros(num_blocks + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
     return ptr
@@ -280,9 +362,6 @@ def trace_blocked_iteration(
     """
     from ..core.kernels import resolve_kernel
 
-    b = layout.num_blocks_per_side
-    sp = layout.scatter_block_ptr
-    gp = layout.gather_block_ptr
     if layout.num_edges == 0:
         return
     resolved = resolve_kernel(kernel)
@@ -292,6 +371,9 @@ def trace_blocked_iteration(
             bins_name=bins_name,
         )
         return
+    b = layout.num_blocks_per_side
+    sp = layout.scatter_block_ptr
+    gp = layout.gather_block_ptr
     line_elems = max(trace.space.line_bytes // 4, 1)
 
     def aligned(offset: int) -> int:
@@ -434,10 +516,11 @@ class BlockingEngine(Engine):
     def _prepare(self) -> dict:
         start = time.perf_counter()
         csr = self.graph.csr
-        self.layout = build_block_layout(
-            csr.row_ids(), csr.indices, self.graph.num_nodes,
-            self.block_nodes, values=self.edge_values,
+        self.layout = BlockLayout(
+            self.graph.num_nodes, self.block_nodes,
+            csr.indptr, csr.indices, self.edge_values,
         )
+        self.layout.reduce_plan
         t_partition = time.perf_counter()
         # Race proof and certificate of the Main-Phase plan; the
         # certificate id travels on every result.
@@ -487,8 +570,8 @@ class BlockingEngine(Engine):
         return self.propagate(x)
 
     def run_bfs(self, source: int, *, resilience=None) -> np.ndarray:
-        """Blocked frontier BFS: per iteration only the messages of active
-        sources flow through the (pre-sorted) bins."""
+        """Frontier BFS over the layout
+        (:meth:`BlockLayout.frontier_step`)."""
         self._require_prepared()
         from ..algorithms.bfs import bfs_fingerprint, run_frontier_bfs
 

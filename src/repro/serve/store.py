@@ -1,18 +1,19 @@
 """Persistent, memory-mappable boot cache of prepared layouts.
 
-Preprocessing (classification, relabeling, CSR/CSC splits, block
-layout, reduce and phase plans) is the expensive step — every sort the
-pipeline runs is O(m log m).  The store persists the *results* of those
-sorts for a server's boot graph as individual ``.npy`` artifacts keyed
+Preprocessing (classification, relabeling, CSR/CSC splits, the
+Main-Phase reduce plan and the phase plans) is the expensive step — a
+stable radix sort per structure.  The store persists the *results* of
+those sorts for a server's boot graph as individual ``.npy`` artifacts keyed
 by a sha256 layout fingerprint of the adjacency (the same
 :func:`~repro.resilience.checkpoint.state_fingerprint` helper the
 checkpoint system uses), so a restarted server boots in O(load): every
 array is ``np.load``-ed with ``mmap_mode="r"`` and the only recomputed
 pieces are the O(m) race proofs and the certificate that
 :meth:`MixenEngine._prepare` would run anyway.  What only the machine
-model reads (the block-task list, the dynamic-bin census) is neither
-stored nor rebuilt: a booted engine derives it on first read, like a
-freshly prepared one.
+model reads (the blocked orders of the layout, the block-task list,
+the dynamic-bin census) is neither stored nor rebuilt: a booted engine
+derives it on first read, like a freshly prepared one.  The layout
+itself is the stored regular CSR plus the block size.
 
 It is a boot cache and nothing more: a restarted server always boots
 its configured graph at epoch 0, so the engines a server prepares for
@@ -59,7 +60,7 @@ from ..resilience.checkpoint import state_fingerprint, sweep_tmp_files
 
 #: bump when the artifact schema changes; part of the fingerprint, so
 #: old stores simply miss instead of loading under the wrong schema.
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 
@@ -86,13 +87,6 @@ _REQUIRED_ARRAYS = (
     "s2r_indices",
     "sink_indptr",
     "sink_indices",
-    "lay_src_scatter",
-    "lay_dst_scatter",
-    "lay_gather_perm",
-    "lay_src_gather",
-    "lay_dst_gather",
-    "lay_scatter_block_ptr",
-    "lay_gather_block_ptr",
     *(
         f"{prefix}_{name}"
         for prefix in ("rp", "push", "pull")
@@ -382,13 +376,6 @@ def pack_engine(engine) -> tuple[dict[str, np.ndarray], dict]:
         "s2r_indices": mixed.seed_to_reg.indices,
         "sink_indptr": mixed.sink_csc.indptr,
         "sink_indices": mixed.sink_csc.indices,
-        "lay_src_scatter": layout.src_scatter,
-        "lay_dst_scatter": layout.dst_scatter,
-        "lay_gather_perm": layout.gather_perm,
-        "lay_src_gather": layout.src_gather,
-        "lay_dst_gather": layout.dst_gather,
-        "lay_scatter_block_ptr": layout.scatter_block_ptr,
-        "lay_gather_block_ptr": layout.gather_block_ptr,
     }
     meta = {
         "num_nodes": plan.num_nodes,
@@ -403,9 +390,7 @@ def pack_engine(engine) -> tuple[dict[str, np.ndarray], dict]:
         "s2r_cols": mixed.seed_to_reg.num_cols,
         "sink_rows": mixed.sink_csc.num_rows,
         "sink_cols": mixed.sink_csc.num_cols,
-        "lay_num_nodes": layout.num_nodes,
         "lay_block_nodes": layout.block_nodes,
-        "lay_blocks_per_side": layout.num_blocks_per_side,
     }
     for prefix, reduce_plan in (
         ("rp", layout.reduce_plan),
@@ -430,7 +415,7 @@ def _install_plan(arrays: dict, meta: dict, prefix: str) -> ReducePlan:
 
 def install_layout(engine, arrays: dict, meta: dict) -> None:
     """Rebuild a :class:`MixenEngine`'s prepared structures from store
-    artifacts *without re-running any O(m log m) sort*.
+    artifacts *without re-running any sort*.
 
     Only the O(m) plan proofs and the layout certificate are recomputed
     — exactly the non-sort tail of ``_prepare()`` — and the cached
@@ -477,16 +462,7 @@ def install_layout(engine, arrays: dict, meta: dict) -> None:
     mixed.__dict__["seed_push_plan"] = _install_plan(arrays, meta, "push")
     mixed.__dict__["sink_pull_plan"] = _install_plan(arrays, meta, "pull")
     layout = BlockLayout(
-        num_nodes=int(meta["lay_num_nodes"]),
-        block_nodes=int(meta["lay_block_nodes"]),
-        num_blocks_per_side=int(meta["lay_blocks_per_side"]),
-        src_scatter=arrays["lay_src_scatter"],
-        dst_scatter=arrays["lay_dst_scatter"],
-        gather_perm=arrays["lay_gather_perm"],
-        src_gather=arrays["lay_src_gather"],
-        dst_gather=arrays["lay_dst_gather"],
-        scatter_block_ptr=arrays["lay_scatter_block_ptr"],
-        gather_block_ptr=arrays["lay_gather_block_ptr"],
+        rr.num_rows, int(meta["lay_block_nodes"]), rr.indptr, rr.indices
     )
     layout.__dict__["reduce_plan"] = _install_plan(arrays, meta, "rp")
     engine.plan = plan

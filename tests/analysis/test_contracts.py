@@ -130,20 +130,13 @@ class TestCheckBins:
         assert "blocks" in check.detail
 
     def _clone(self, layout, **overrides):
-        fields = dict(
-            num_nodes=layout.num_nodes,
-            block_nodes=layout.block_nodes,
-            num_blocks_per_side=layout.num_blocks_per_side,
-            src_scatter=layout.src_scatter,
-            dst_scatter=layout.dst_scatter,
-            gather_perm=layout.gather_perm,
-            src_gather=layout.src_gather,
-            dst_gather=layout.dst_gather,
-            scatter_block_ptr=layout.scatter_block_ptr,
-            gather_block_ptr=layout.gather_block_ptr,
-        )
-        fields.update(overrides)
-        return type(layout)(**fields)
+        # The blocked arrays are built on first read and cached in the
+        # instance dict; a tampered one is planted there.
+        from dataclasses import replace
+
+        clone = replace(layout)
+        clone.__dict__.update(overrides)
+        return clone
 
     def test_tampered_block_ptr_fails(self, layout):
         ptr = layout.scatter_block_ptr.copy()

@@ -127,11 +127,9 @@ class TestTimeCoupled:
 
 class TestTimePrepare:
     def test_median_and_breakdown(self, wiki):
-        total, breakdown = time_prepare(
-            lambda: MixenEngine(wiki), repeats=3
-        )
-        assert total > 0
-        assert set(breakdown) == {"filter", "partition", "prove"}
+        timing = time_prepare(lambda: MixenEngine(wiki), repeats=7)
+        assert 0 < timing.q1 <= timing.median <= timing.q3
+        assert set(timing.breakdown) == {"filter", "partition", "prove"}
 
     def test_rejects_bad_repeats(self, wiki):
         with pytest.raises(EngineError):

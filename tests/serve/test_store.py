@@ -105,6 +105,52 @@ class TestBootEngine:
         )
         assert again.hit
 
+    def test_version_2_store_misses_and_cold_boots(
+        self, random_graph, tmp_path, monkeypatch
+    ):
+        # A version-2 store: its manifest, fingerprint and artifact set
+        # (which also held the seven blocked-layout arrays).
+        import repro.serve.store as store_module
+
+        assert STORE_VERSION == 3
+        fresh = MixenEngine(random_graph, kernel="bincount")
+        fresh.prepare()
+        arrays, meta = pack_engine(fresh)
+        layout = fresh.partition.layout
+        for name in (
+            "src_scatter", "dst_scatter", "gather_perm", "src_gather",
+            "dst_gather", "scatter_block_ptr", "gather_block_ptr",
+        ):
+            arrays[f"lay_{name}"] = getattr(layout, name)
+        meta.update(
+            lay_num_nodes=layout.num_nodes,
+            lay_blocks_per_side=layout.num_blocks_per_side,
+            tuned_id="",
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "STORE_VERSION", 2)
+            old = engine_fingerprint(random_graph, block_nodes=512)
+            LayoutStore(tmp_path).put(old, arrays, meta)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["version"] == 2 and old in manifest["entries"]
+
+        store = LayoutStore(tmp_path)
+        engine, boot = boot_engine(random_graph, store, kernel="bincount")
+        assert not boot.hit and not boot.rebuilt
+        assert boot.miss_reason == "absent"
+        assert "filter" in engine.prepare_stats.breakdown
+        np.testing.assert_array_equal(
+            _run_pagerank(fresh), _run_pagerank(engine)
+        )
+        new = engine_fingerprint(random_graph, block_nodes=512)
+        assert new != old
+        assert store.fingerprints() == (new,)
+        # The version-3 entry holds no blocked array.
+        assert not any(
+            name.startswith("lay_")
+            for name in store._manifest["entries"][new]["arrays"]
+        )
+
     def test_missing_artifact_is_a_miss(self, random_graph, tmp_path):
         store = LayoutStore(tmp_path)
         boot_engine(random_graph, store, kernel="bincount")

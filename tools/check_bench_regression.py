@@ -4,8 +4,8 @@ the committed baseline and fail on significant slowdowns.
 
 Usage (as CI runs it)::
 
-    PYTHONPATH=src python benchmarks/bench_kernels.py \
-        --scale 14 --repeats 5 --out /tmp/kernels.json
+    PYTHONPATH=src taskset -c 0 python benchmarks/bench_kernels.py \
+        --scale 17 --repeats 5 --out /tmp/kernels.json
     python tools/check_bench_regression.py --fresh /tmp/kernels.json \
         --baseline bench_results/kernels_ci.json
 
