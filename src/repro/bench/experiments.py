@@ -64,12 +64,9 @@ def _traced_counters(name: str, graph, *, block_nodes=DEFAULT_BLOCK_NODES,
                      spec=SCALED_MACHINE, **opts):
     """One traced per-iteration propagation through the hierarchy.
 
-    The blocked engines are traced on the ``reduceat`` access pattern
-    unless ``kernel`` is given, so the modeled figures (4–7, Table 3
-    modeled, the tuner's objective) do not follow the execution
-    default."""
-    if name in ("mixen", "block"):
-        opts.setdefault("kernel", "reduceat")
+    The blocked engines record the paper's access patterns whatever
+    ``kernel`` they are built with, so the modeled figures (4–7, Table 3
+    modeled, the tuner's objective) do not depend on the backend."""
     engine = _engine(name, graph, block_nodes=block_nodes, **opts)
     engine.prepare()
     trace = AccessTrace(AddressSpace(spec.line_bytes))

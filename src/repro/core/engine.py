@@ -237,16 +237,9 @@ class MixenEngine(Engine):
 
     def traced_propagate(self, x: np.ndarray, trace) -> np.ndarray:
         """One full traced propagation: Main-Phase iteration plus the
-        (normally amortized) sink pull; see :meth:`traced_main_iteration`
-        for the per-iteration figure experiments."""
-        self._require_prepared()
-        plan = self.plan
-        xp = permute_values(np.asarray(x, dtype=VALUE_DTYPE), plan.perm)
-        kernel = self._make_kernel()
-        kernel.set_seed_input(xp[plan.seed_slice])
-        kernel.traced_iterate(
-            xp[: plan.num_regular], trace, compress=self.compress
-        )
+        (normally amortized) sink pull.  The recorded pattern does not
+        depend on ``x``; the values are :meth:`propagate`'s."""
+        self.traced_main_iteration(trace)
         self._trace_post_phase(trace)
         return self.propagate(x)
 
@@ -263,25 +256,20 @@ class MixenEngine(Engine):
         kernel.traced_iterate(xs, trace, compress=self.compress)
 
     def _trace_post_phase(self, trace) -> None:
+        """The paper's CSC sink pull, whatever ``kernel`` executes."""
         sink_csc = self.mixed.sink_csc
         if sink_csc.num_edges == 0:
             return
-        from .phases import trace_phase_reduce
-
         space = trace.space
-        if "xSources" not in space:
+        if "sinkIdx" not in space:
+            space.register("sinkPtr", sink_csc.num_rows + 1, 4)
+            space.register("sinkIdx", sink_csc.num_edges, 4)
             space.register("xSources", max(sink_csc.num_cols, 1), 4)
             space.register("ySink", max(sink_csc.num_rows, 1), 4)
-        # The pull now runs through the phase dispatch layer; trace the
-        # resolved backend's actual pattern over the pull plan's streams.
-        trace_phase_reduce(
-            self.mixed.sink_pull_plan,
-            trace,
-            kernel=self.kernel,
-            x_name="xSources",
-            y_name="ySink",
-            prefix="sink",
-        )
+        trace.sequential("sinkPtr", 0, sink_csc.num_rows + 1)
+        trace.sequential("sinkIdx", 0, sink_csc.num_edges)
+        trace.gather("xSources", sink_csc.indices)
+        trace.sequential("ySink", 0, sink_csc.num_rows, write=True)
 
     # ------------------------------------------------------------------ #
     # algorithms

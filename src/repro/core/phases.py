@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import ReducePlan, build_plan, reduce, resolve_kernel
+from .kernels import ReducePlan, build_plan, reduce
 
 
 def build_push_plan(
@@ -74,62 +74,3 @@ def phase_reduce(
     (:func:`repro.core.kernels.reduce`)."""
     return reduce(plan, x, kernel=kernel, max_workers=max_workers)
 
-
-# --------------------------------------------------------------------- #
-# machine-model trace
-# --------------------------------------------------------------------- #
-def trace_phase_reduce(
-    plan: ReducePlan,
-    trace,
-    *,
-    kernel: str = "bincount",
-    x_name: str,
-    y_name: str,
-    prefix: str,
-) -> None:
-    """Record one phase reduce's access pattern into ``trace``.
-
-    The caller registers ``x_name``/``y_name``; the plan's own metadata
-    streams (``<prefix>Src``/``<prefix>Dst``/``<prefix>Msgs``/
-    ``<prefix>RunStarts``/``<prefix>RunDst``) are registered lazily on
-    first use, mirroring the Main-Phase reduceat trace.  ``parallel``
-    records its serial-equivalent pattern (each worker walks its
-    partition slice of the same streams).
-    """
-    m = plan.num_messages
-    if m == 0:
-        return
-    resolved = resolve_kernel(kernel)
-    runs = plan.num_runs
-    space = trace.space
-    src_name = f"{prefix}Src"
-    msgs_name = f"{prefix}Msgs"
-    if src_name not in space:
-        space.register(src_name, m, 8)
-        space.register(msgs_name, m, 4)
-    # msgs = x[src] (* w): stream the index vector, gather x, stream the
-    # materialized message buffer out.
-    trace.sequential(src_name, 0, m)
-    trace.gather(x_name, plan.src)
-    trace.sequential(msgs_name, 0, m, write=True)
-    if resolved == "bincount":
-        dst_name = f"{prefix}Dst"
-        if dst_name not in space:
-            space.register(dst_name, m, 8)
-        # bincount(dst, weights=msgs): both streams plus scattered adds.
-        trace.sequential(dst_name, 0, m)
-        trace.sequential(msgs_name, 0, m)
-        trace.scatter(y_name, plan.dst)
-        return
-    if runs == 0:
-        return
-    starts_name = f"{prefix}RunStarts"
-    run_dst_name = f"{prefix}RunDst"
-    if starts_name not in space:
-        space.register(starts_name, runs, 8)
-        space.register(run_dst_name, runs, 8)
-    # np.add.reduceat(msgs, run_starts) then y[run_dst] = ...
-    trace.sequential(starts_name, 0, runs)
-    trace.sequential(msgs_name, 0, m)
-    trace.sequential(run_dst_name, 0, runs)
-    trace.scatter(y_name, plan.run_dst)

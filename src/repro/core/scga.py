@@ -26,7 +26,7 @@ from ..graphs.csr import CSR
 from ..types import VALUE_DTYPE
 from .partition import RegularPartition
 from .kernels import ReducePlan
-from .phases import build_push_plan, phase_reduce, trace_phase_reduce
+from .phases import build_push_plan, phase_reduce
 
 
 class ScgaKernel:
@@ -145,7 +145,9 @@ class ScgaKernel:
 
         Registers the kernel's arrays in the trace's address space on first
         use: the regular x/y segments, the dynamic bins, and the static
-        bins (or the seed structures, for the no-cache ablation).
+        bins (or the seed structures, for the no-cache ablation).  The
+        recorded pattern is the paper's Scatter-Cache-Gather whatever
+        :attr:`kernel` executes; only the returned values come from it.
         """
         r = self.num_regular
         m_rr = self.partition.layout.num_edges
@@ -169,16 +171,11 @@ class ScgaKernel:
                 trace.sequential("sta", 0, r)
                 trace.sequential("y", 0, r, write=True)
         elif self.seed_to_reg.num_edges:
-            # Ablation: re-push every seed message each iteration, through
-            # the phase dispatch (same backend the real push uses).
+            # Ablation: re-push every seed message each iteration.
             trace.sequential("xSeed", 0, self.seed_to_reg.num_rows)
-            trace_phase_reduce(
-                self.seed_plan, trace,
-                kernel=self.kernel,
-                x_name="xSeed", y_name="y", prefix="seed",
-            )
+            trace.sequential("seedIdx", 0, self.seed_to_reg.num_edges)
+            trace.scatter("y", self.seed_to_reg.indices)
         trace_blocked_iteration(
-            self.partition.layout, trace, compress=compress,
-            kernel=self.kernel,
+            self.partition.layout, trace, compress=compress
         )
         return self.iterate(xs_reg)

@@ -324,7 +324,6 @@ def trace_blocked_iteration(
     bins_name: str = "bins",
     bin_ptr_name: str = "binPtr",
     compress: bool = False,
-    kernel: str = "bincount",
 ) -> None:
     """Record one blocked Scatter+Gather iteration into ``trace``.
 
@@ -342,34 +341,9 @@ def trace_blocked_iteration(
     With ``compress=True`` (edge compression, Section 4.2) the bins hold
     one message per unique (block, source) pair instead of one per edge.
 
-    ``kernel`` selects which backend's access pattern is recorded (the
-    ``--kernel`` dispatch of the execution path, mirrored into the
-    machine model):
-
-    * ``bincount`` and ``parallel`` — the paper's blocked two-phase
-      pattern above (the model of Section 3; the executed kernels
-      stream the reduce plan in destination order instead);
-    * ``reduceat`` — the segmented-reduce kernel
-      (:func:`repro.core.kernels.reduce_reduceat`), which skips the bins
-      entirely: one x gather in destination-sorted order, a streamed
-      message buffer, the run-start/run-destination metadata streams
-      and one y scatter per destination run;
-    * ``auto`` — resolved exactly like the execution dispatch
-      (:func:`repro.core.kernels.resolve_kernel`).
-
-    Edge compression only exists in the binned path, so ``compress=True``
-    always records the blocked pattern.
+    Every ``--kernel`` rung records this same pattern (module docstring).
     """
-    from ..core.kernels import resolve_kernel
-
     if layout.num_edges == 0:
-        return
-    resolved = resolve_kernel(kernel)
-    if resolved == "reduceat" and not compress:
-        _trace_reduceat_iteration(
-            layout, trace, x_name=x_name, y_name=y_name,
-            bins_name=bins_name,
-        )
         return
     b = layout.num_blocks_per_side
     sp = layout.scatter_block_ptr
@@ -417,44 +391,6 @@ def trace_blocked_iteration(
         start, count = bin_start[s_blk]
         trace.sequential(bins_name, start, count)
         trace.scatter(y_name, layout.dst_gather[lo:hi])
-
-
-def _trace_reduceat_iteration(
-    layout: BlockLayout,
-    trace,
-    *,
-    x_name: str,
-    y_name: str,
-    bins_name: str,
-) -> None:
-    """Record one segmented-reduce iteration
-    (:func:`repro.core.kernels.reduce_reduceat`) into ``trace``.
-
-    The kernel gathers ``x`` at the destination-sorted edge sources
-    (``plan.src``), materializes the message stream (modelled in the
-    bins region — it is the message buffer of this backend), streams
-    the per-run metadata (``runStarts``/``runDst``, registered lazily
-    on first use) while ``reduceat`` re-reads the messages, and
-    scatters one accumulated value per destination run into ``y``.
-    """
-    plan = layout.reduce_plan
-    m = layout.num_edges
-    runs = plan.num_runs
-    space = trace.space
-    if "runStarts" not in space:
-        space.register("runStarts", max(runs, 1), 8)
-        space.register("runDst", max(runs, 1), 8)
-    # msgs = x[plan.src]: the gather plus the streamed materialization.
-    trace.gather(x_name, plan.src)
-    trace.sequential(bins_name, 0, m, write=True)
-    if runs == 0:
-        return
-    # np.add.reduceat(msgs, run_starts): metadata and message streams.
-    trace.sequential("runStarts", 0, runs)
-    trace.sequential(bins_name, 0, m)
-    # y[run_dst] = ...: one write per destination run.
-    trace.sequential("runDst", 0, runs)
-    trace.scatter(y_name, plan.run_dst)
 
 
 class BlockingEngine(Engine):
@@ -564,9 +500,7 @@ class BlockingEngine(Engine):
         trace.sequential("csrPtr", 0, n + 1)
         if m:
             trace.sequential("csrIdx", 0, m)
-            trace_blocked_iteration(
-                self.layout, trace, kernel=self.kernel
-            )
+            trace_blocked_iteration(self.layout, trace)
         return self.propagate(x)
 
     def run_bfs(self, source: int, *, resilience=None) -> np.ndarray:

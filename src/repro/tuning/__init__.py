@@ -11,7 +11,6 @@ from .tuner import (
     CANDIDATE_BLOCK_NODES,
     DEFAULT_BLOCK_NODES,
     DEFAULT_REORDER,
-    MODELED_KERNEL,
     TUNE_VERSION,
     TunedConfig,
     apply_reordering,
@@ -25,7 +24,6 @@ __all__ = [
     "CANDIDATE_BLOCK_NODES",
     "DEFAULT_BLOCK_NODES",
     "DEFAULT_REORDER",
-    "MODELED_KERNEL",
     "TUNE_VERSION",
     "StructuralProfile",
     "TunedConfig",

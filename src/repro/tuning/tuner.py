@@ -4,10 +4,11 @@ The paper fixes ``block_nodes = 512`` and always applies its own filter;
 Section 5 says both knobs should instead follow the structural profile.
 This module sweeps every registered reordering (plus ``"none"``, the
 untuned identity) crossed with a block-size candidate list through the
-*modeled* Figure 6/7 cost — one traced Main-Phase iteration through the
-simulated memory hierarchy divided by the parallel-schedule efficiency
-(:mod:`repro.bench.experiments`) — and emits a versioned,
-graph-fingerprinted JSON blob recording the winner.
+*modeled* Figure 6/7 cost — one traced Scatter-Cache-Gather iteration,
+the same for every ``--kernel``, through the simulated memory hierarchy
+divided by the parallel-schedule efficiency (:mod:`repro.bench.experiments`)
+— and emits a versioned, graph-fingerprinted JSON blob recording the
+winner; the blob names no kernel.
 
 No wall-clock measurement is involved, so tuning is deterministic: the
 same graph always produces byte-identical blobs, the default
@@ -50,10 +51,6 @@ DEFAULT_BLOCK_NODES = 512
 #: block-size candidates: powers of two around the L1/L2 node capacities
 #: of the scaled machine (the Figure 6 sweet-spot range).
 CANDIDATE_BLOCK_NODES = (128, 256, 512, 1024, 2048)
-
-#: kernel the model assumes (the modeled 20-thread parallel schedule).
-MODELED_KERNEL = "parallel"
-
 
 def candidate_orderings() -> tuple[str, ...]:
     """Sweep order: the identity first, then the registry sorted."""
@@ -100,7 +97,6 @@ class TunedConfig:
     profile: StructuralProfile
     reorder: str  #: chosen ordering (a REORDERINGS key or ``"none"``)
     block_nodes: int
-    kernel: str = MODELED_KERNEL
     version: int = TUNE_VERSION
     #: modeled cycles of the chosen configuration.
     tuned_cycles: float = 0.0
@@ -138,7 +134,6 @@ class TunedConfig:
             "choice": {
                 "reorder": self.reorder,
                 "block_nodes": self.block_nodes,
-                "kernel": self.kernel,
             },
             "modeled_cycles": {
                 "tuned": self.tuned_cycles,
@@ -164,7 +159,6 @@ class TunedConfig:
                 profile=StructuralProfile.from_json(payload["profile"]),
                 reorder=str(payload["choice"]["reorder"]),
                 block_nodes=int(payload["choice"]["block_nodes"]),
-                kernel=str(payload["choice"].get("kernel", MODELED_KERNEL)),
                 version=version,
                 tuned_cycles=float(payload["modeled_cycles"]["tuned"]),
                 default_cycles=float(payload["modeled_cycles"]["default"]),

@@ -1,16 +1,23 @@
-"""Tests for kernel-aware traced execution: the simulator must report
-the access pattern of the SpMV backend actually selected, not always
-the blocked scatter/gather shape."""
+"""Tests for traced execution: the machine model records the paper's
+access patterns (seed push, Scatter-Cache-Gather, sink pull) whatever
+``--kernel`` backend executes the propagation."""
 
 import numpy as np
 import pytest
 
-from repro.frameworks.blocking import (
-    BlockingEngine,
-    trace_blocked_iteration,
-)
+from repro.core.engine import MixenEngine
+from repro.core.kernels import KERNEL_NAMES
+from repro.frameworks.blocking import BlockingEngine
 from repro.graphs import load_dataset
-from repro.machine import AccessTrace, AddressSpace
+from repro.machine import (
+    SCALED_MACHINE,
+    AccessTrace,
+    AddressSpace,
+    MemoryHierarchy,
+)
+from repro.parallel import procpool
+
+ENGINES = {"block": BlockingEngine, "mixen": MixenEngine}
 
 
 @pytest.fixture(scope="module")
@@ -18,120 +25,47 @@ def wiki():
     return load_dataset("wiki", scale=0.25)
 
 
-def traced(graph, kernel):
-    engine = BlockingEngine(graph, kernel=kernel)
+@pytest.fixture(autouse=True, scope="module")
+def _cleanup_pool():
+    yield
+    procpool.cleanup()
+
+
+def traced(graph, engine="block", kernel="bincount", **opts):
+    engine = ENGINES[engine](graph, kernel=kernel, max_workers=2, **opts)
     engine.prepare()
-    trace = AccessTrace(AddressSpace(64))
+    trace = AccessTrace(AddressSpace(SCALED_MACHINE.line_bytes))
     x = np.random.default_rng(7).random(graph.num_nodes)
     y = engine.traced_propagate(x, trace)
     return engine, trace, y
 
 
 class TestTracedKernelDispatch:
-    def test_reduceat_registers_run_arrays(self, wiki):
-        _, trace, _ = traced(wiki, "reduceat")
-        assert "runStarts" in trace.space
-        assert "runDst" in trace.space
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_every_rung_traces_one_pattern(self, wiki, engine, kernel):
+        def counters(kernel):
+            _, trace, _ = traced(wiki, engine, kernel)
+            return MemoryHierarchy(SCALED_MACHINE).run_trace(trace)
 
-    def test_bincount_has_no_run_arrays(self, wiki):
-        _, trace, _ = traced(wiki, "bincount")
-        assert "runStarts" not in trace.space
-        assert "runDst" not in trace.space
-
-    def test_reduceat_trace_differs_from_blocked(self, wiki):
-        # The destination-sorted reduceat kernel streams long runs: far
-        # fewer stream jumps than the per-block scatter/gather shape.
-        _, bincount_trace, _ = traced(wiki, "bincount")
-        _, reduceat_trace, _ = traced(wiki, "reduceat")
-        assert (
-            reduceat_trace.traffic.stream_jumps
-            < bincount_trace.traffic.stream_jumps
-        )
-
-    def test_parallel_traces_serial_equivalent_pattern(self, wiki):
-        # The thread-pool kernel computes the same blocked accumulation
-        # (bit-identical by design), so its traced pattern is the
-        # blocked one.
-        _, parallel_trace, _ = traced(wiki, "parallel")
-        _, bincount_trace, _ = traced(wiki, "bincount")
-        assert (
-            parallel_trace.traffic.stream_jumps
-            == bincount_trace.traffic.stream_jumps
-        )
-        assert (
-            parallel_trace.traffic.bytes_read
-            == bincount_trace.traffic.bytes_read
-        )
+        assert counters(kernel).as_dict() == counters("bincount").as_dict()
 
     def test_traced_result_matches_native(self, wiki):
-        engine, _, y = traced(wiki, "reduceat")
+        engine, _, y = traced(wiki, kernel="reduceat")
         x = np.random.default_rng(7).random(wiki.num_nodes)
         assert np.array_equal(y, engine.propagate(x))
 
-    def test_auto_resolves_before_dispatch(self, wiki):
-        # "auto" must trace whatever backend it resolves to — never a
-        # literal "auto" pattern; the trace matches that kernel's
-        # re-trace.
-        from repro.core.kernels import resolve_kernel
-
-        _, auto_trace, _ = traced(wiki, "auto")
-        resolved = resolve_kernel("auto")
-        _, direct_trace, _ = traced(wiki, resolved)
-        assert (
-            auto_trace.traffic.stream_jumps
-            == direct_trace.traffic.stream_jumps
-        )
-
-    def test_compress_keeps_blocked_pattern(self, wiki):
-        # Compressed-bin tracing models the blocked layout's in-cache
-        # bins; the reduceat fast path does not apply there.
-        engine = BlockingEngine(wiki, kernel="reduceat")
-        engine.prepare()
-        trace = AccessTrace(AddressSpace(64))
-        b = engine.num_blocks_per_side
-        space = trace.space
-        space.register("x", wiki.num_nodes, 4)
-        space.register("y", wiki.num_nodes, 4)
-        pad = b * b * (space.line_bytes // 4 + 1)
-        space.register("bins", wiki.num_edges + pad, 4)
-        space.register("binPtr", b * b + 1, 8)
-        trace_blocked_iteration(
-            engine.layout, trace, compress=True, kernel="reduceat"
-        )
-        assert "runStarts" not in trace.space
-
 
 class TestTracedPhasePatterns:
-    """The one-shot Pre-/Post-Phase accesses go through the phase
-    dispatch layer too: the trace must show the resolved backend's
-    pattern over the plan's streams."""
-
-    def mixen_traced(self, graph, kernel, **opts):
-        from repro.core.engine import MixenEngine
-
-        engine = MixenEngine(graph, kernel=kernel, **opts)
-        engine.prepare()
-        trace = AccessTrace(AddressSpace(64))
-        x = np.random.default_rng(7).random(graph.num_nodes)
-        engine.traced_propagate(x, trace)
-        return engine, trace
-
-    def test_sink_pull_registers_plan_streams(self, wiki):
-        _, trace = self.mixen_traced(wiki, "reduceat")
-        assert "sinkSrc" in trace.space
-        assert "sinkMsgs" in trace.space
-        assert "sinkRunStarts" in trace.space
-        assert "sinkRunDst" in trace.space
-
-    def test_sink_pull_bincount_streams_dst(self, wiki):
-        _, trace = self.mixen_traced(wiki, "bincount")
-        assert "sinkDst" in trace.space
-        assert "sinkRunStarts" not in trace.space
-
     def test_seed_push_traced_in_ablation(self, wiki):
         # cache_step=False re-pushes the seed contribution per
-        # iteration; the traced iteration must include the seed plan's
-        # streams.
-        _, trace = self.mixen_traced(wiki, "reduceat", cache_step=False)
-        assert "seedSrc" in trace.space
-        assert "seedMsgs" in trace.space
+        # iteration as the paper's CSR push: xSeed, seedIdx, scatter.
+        _, trace, _ = traced(wiki, "mixen", cache_step=False)
+        assert "seedIdx" in trace.space
+        assert "xSeed" in trace.space
+        assert "seedMsgs" not in trace.space
+
+    def test_sink_pull_registers_csc_streams(self, wiki):
+        _, trace, _ = traced(wiki, "mixen")
+        assert "sinkPtr" in trace.space
+        assert "sinkIdx" in trace.space
