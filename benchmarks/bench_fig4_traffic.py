@@ -10,16 +10,17 @@ import pytest
 
 from benchmarks.conftest import bench_scale, emit
 from repro.bench import fig4
-from repro.bench.experiments import _traced_counters
+from repro.bench.experiments import _prepared
+from repro.core import iteration_counters
 from repro.graphs import load_dataset
-from repro.machine import AccessTrace, AddressSpace, MemoryHierarchy
+from repro.machine import MemoryHierarchy
 
 
 @pytest.mark.parametrize("variant", ["mixen", "block", "pull"])
 def test_traced_iteration(benchmark, variant):
     g = load_dataset("wiki")
     benchmark.pedantic(
-        lambda: _traced_counters(variant, g),
+        lambda: iteration_counters(_prepared(variant, g)),
         rounds=3, iterations=1, warmup_rounds=1,
     )
 

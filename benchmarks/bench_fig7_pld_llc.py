@@ -16,14 +16,14 @@ from repro.graphs import load_dataset
 
 
 @pytest.mark.parametrize("block_nodes", [64, 2048])
-def test_traced_main_iteration(benchmark, block_nodes):
+def test_trace_iteration(benchmark, block_nodes):
     g = load_dataset("pld")
     engine = MixenEngine(g, block_nodes=block_nodes)
     engine.prepare()
 
     def trace_once():
         trace = AccessTrace(AddressSpace(64))
-        engine.traced_main_iteration(trace)
+        engine.trace_iteration(trace)
         return trace
 
     benchmark.pedantic(trace_once, rounds=3, iterations=1, warmup_rounds=1)

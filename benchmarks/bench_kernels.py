@@ -211,12 +211,7 @@ def run_tuning(args) -> dict:
     than the default — the same invariant the CI bench-guard asserts.
     """
     from repro.graphs.datasets import DATASET_NAMES, load_dataset
-    from repro.tuning import (
-        CANDIDATE_BLOCK_NODES,
-        DEFAULT_BLOCK_NODES,
-        DEFAULT_REORDER,
-        tune_graph,
-    )
+    from repro.tuning import DEFAULT_BLOCK_NODES, DEFAULT_REORDER, tune_graph
 
     names = (
         [n.strip() for n in args.graphs.split(",") if n.strip()]
@@ -229,7 +224,6 @@ def run_tuning(args) -> dict:
             "reorder": DEFAULT_REORDER,
             "block_nodes": DEFAULT_BLOCK_NODES,
         },
-        "block_sweep": list(CANDIDATE_BLOCK_NODES),
         "graphs": {},
     }
     for name in names:
@@ -238,13 +232,12 @@ def run_tuning(args) -> dict:
         if config.tuned_cycles > config.default_cycles:
             raise RuntimeError(
                 f"tuning guard: {name} tuned to "
-                f"{config.reorder}:{config.block_nodes} is modeled "
+                f"{config.reorder} is modeled "
                 f"SLOWER than the default ({config.tuned_cycles:.0f} "
                 f"> {config.default_cycles:.0f} cycles)"
             )
         results["graphs"][name] = {
             "reorder": config.reorder,
-            "block_nodes": config.block_nodes,
             "tuned_cycles": config.tuned_cycles,
             "default_cycles": config.default_cycles,
             "gain": config.gain,
@@ -263,8 +256,7 @@ def render_tuning(results: dict) -> str:
     ]
     for name, data in results["graphs"].items():
         lines.append(
-            f"  {name:<8} {data['reorder']:>10}:"
-            f"{data['block_nodes']:<5} "
+            f"  {name:<8} {data['reorder']:>10} "
             f"tuned {data['tuned_cycles']:>12.0f}  "
             f"default {data['default_cycles']:>12.0f}  "
             f"gain {data['gain']:5.2f}x"

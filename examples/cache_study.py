@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro import MixenEngine, SCALED_MACHINE, load_dataset
 from repro.bench.sweep import sweep
-from repro.core import measured_main_phase_counters, model_for_engine
+from repro.core import iteration_counters, model_for_engine
 from repro.machine import DEFAULT_LATENCIES, modeled_cycles
 from repro.parallel import parallel_profile
 
@@ -31,7 +31,7 @@ def main() -> None:
     # --- one traced iteration at the default block size ----------------- #
     engine = MixenEngine(graph, block_nodes=512)
     engine.prepare()
-    counters = measured_main_phase_counters(engine)
+    counters = iteration_counters(engine)
     model = model_for_engine(engine, property_bytes=4)
     print(
         f"\nprofile: alpha={engine.alpha:.2f} beta={engine.beta:.2f} "
@@ -51,7 +51,7 @@ def main() -> None:
     def evaluate(block_nodes: int) -> dict:
         e = MixenEngine(graph, block_nodes=block_nodes)
         e.prepare()
-        mc = measured_main_phase_counters(e)
+        mc = iteration_counters(e)
         profile = parallel_profile(e, num_threads=SCALED_MACHINE.cores)
         cycles = modeled_cycles(
             mc, DEFAULT_LATENCIES, cores=SCALED_MACHINE.cores

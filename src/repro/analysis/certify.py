@@ -584,18 +584,12 @@ def check_reorder_registry() -> Check:
     adversarial probe graph (checked through
     :func:`~repro.analysis.contracts.check_permutation`), every key is
     mentioned in the module docstring of ``graphs/reorder.py``, and the
-    tuner's candidate space covers the whole registry with the untuned
-    default among the block-size candidates.
+    tuner's candidate space covers the whole registry.
     """
     from ..errors import ReproError
     from ..graphs import reorder as reorder_mod
     from ..graphs.reorder import REORDERINGS
-    from ..tuning import (
-        CANDIDATE_BLOCK_NODES,
-        DEFAULT_BLOCK_NODES,
-        DEFAULT_REORDER,
-        candidate_orderings,
-    )
+    from ..tuning import DEFAULT_REORDER, candidate_orderings
     from .contracts import check_permutation
 
     problems: list[str] = []
@@ -639,11 +633,6 @@ def check_reorder_registry() -> Check:
         problems.append(
             f"the identity sentinel {DEFAULT_REORDER!r} shadows a "
             "registered reordering"
-        )
-    if DEFAULT_BLOCK_NODES not in CANDIDATE_BLOCK_NODES:
-        problems.append(
-            f"default block_nodes {DEFAULT_BLOCK_NODES} missing from "
-            f"the candidate sweep {CANDIDATE_BLOCK_NODES}"
         )
     return Check(
         "registry:reorderings",

@@ -15,7 +15,7 @@ import numpy as np
 from ..algorithms import CollaborativeFiltering, InDegree, PageRank
 from ..algorithms.bfs import default_source
 from ..core import MixenEngine, model_for_engine
-from ..core.perfmodel import measured_main_phase_counters
+from ..core.perfmodel import iteration_counters
 from ..frameworks import make_engine
 from ..graphs import DATASET_NAMES, DATASETS, compute_stats, load_dataset
 from ..machine import (
@@ -23,7 +23,6 @@ from ..machine import (
     SCALED_MACHINE,
     AccessTrace,
     AddressSpace,
-    MemoryHierarchy,
     blocking_random_accesses,
     blocking_traffic_bytes,
     modeled_cycles,
@@ -60,24 +59,15 @@ def _engine(name: str, graph, *, block_nodes: int = DEFAULT_BLOCK_NODES,
     return make_engine(name, graph, **opts)
 
 
-def _traced_counters(name: str, graph, *, block_nodes=DEFAULT_BLOCK_NODES,
-                     spec=SCALED_MACHINE, **opts):
-    """One traced per-iteration propagation through the hierarchy.
-
-    The blocked engines record the paper's access patterns whatever
-    ``kernel`` they are built with, so the modeled figures (4–7, Table 3
-    modeled, the tuner's objective) do not depend on the backend."""
-    engine = _engine(name, graph, block_nodes=block_nodes, **opts)
+def _prepared(name: str, graph, **opts):
+    """A prepared engine for the modeled figures.  Trace it with
+    :func:`~repro.core.perfmodel.iteration_counters`: every engine
+    records the paper's access pattern whatever ``kernel`` it is built
+    with, so the modeled figures (4–7, Table 3 modeled, the tuner's
+    objective) do not depend on the backend."""
+    engine = _engine(name, graph, **opts)
     engine.prepare()
-    trace = AccessTrace(AddressSpace(spec.line_bytes))
-    if name == "mixen":
-        engine.traced_main_iteration(trace)
-    else:
-        engine.traced_propagate(
-            np.ones(graph.num_nodes), trace
-        )
-    hierarchy = MemoryHierarchy(spec)
-    return hierarchy.run_trace(trace), engine
+    return engine
 
 
 # --------------------------------------------------------------------- #
@@ -268,8 +258,8 @@ def fig4(
         g = load_dataset(gname, scale=scale)
         times, traffics = {}, {}
         for variant in FIG_VARIANTS:
-            counters, engine = _traced_counters(variant, g)
-            traffics[variant] = counters.dram_bytes
+            engine = _prepared(variant, g)
+            traffics[variant] = iteration_counters(engine).dram_bytes
             # Best of two timing runs: single-core wall clock is noisy.
             times[variant] = min(
                 time_algorithm(
@@ -289,9 +279,16 @@ def fig4(
         result.extras[gname] = {
             "seconds": times, "dram_bytes": traffics,
         }
+    lowest: dict[str, list[str]] = {}
+    for row in result.rows:
+        least = min(FIG_VARIANTS, key=lambda v: row[f"{v}_traffic"])
+        lowest.setdefault(least, []).append(row["graph"])
     result.notes.append(
-        "expected shape: Mixen lowest traffic everywhere; Pull lowest "
-        "only on road (the paper's locality exception)"
+        "lowest traffic: "
+        + "; ".join(f"{v} on {', '.join(gs)}" for v, gs in lowest.items())
+        + " (paper: Mixen lowest except on road, the locality exception "
+        "where Pull is lowest; EXPERIMENTS.md Figure 4 covers urand and "
+        "kron)"
     )
     return result
 
@@ -316,8 +313,7 @@ def fig5(*, scale: float = 2.0, graphs=DATASET_NAMES) -> ExperimentResult:
         g = load_dataset(gname, scale=scale)
         refs, ratios = {}, {}
         for variant in FIG_VARIANTS:
-            counters, _ = _traced_counters(variant, g)
-            l2 = counters.caches["L2"]
+            l2 = iteration_counters(_prepared(variant, g)).caches["L2"]
             refs[variant] = l2.references
             ratios[variant] = l2.miss_ratio
             overall[variant]["refs"] += l2.references
@@ -341,7 +337,7 @@ def fig5(*, scale: float = 2.0, graphs=DATASET_NAMES) -> ExperimentResult:
 # --------------------------------------------------------------------- #
 # Figures 6 and 7: block-size design space
 # --------------------------------------------------------------------- #
-DEFAULT_BLOCK_SWEEP = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
+DEFAULT_BLOCK_SIZES = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 
 
 def _modeled_parallel_cycles(counters, engine) -> float:
@@ -364,7 +360,7 @@ def fig6(
     *,
     scale: float = 2.0,
     graphs=DATASET_NAMES,
-    block_sweep=DEFAULT_BLOCK_SWEEP,
+    block_sizes=DEFAULT_BLOCK_SIZES,
 ) -> ExperimentResult:
     """Figure 6: normalized modeled execution time vs block size.
 
@@ -380,17 +376,19 @@ def fig6(
             f"{SCALED_MACHINE.l1_bytes // 4}, L2 "
             f"{SCALED_MACHINE.l2_bytes // 4} node properties)"
         ),
-        headers=["graph"] + [str(c) for c in block_sweep] + ["best"],
+        headers=["graph"] + [str(c) for c in block_sizes] + ["best"],
     )
     for gname in graphs:
         g = load_dataset(gname, scale=scale)
         cycles = {}
-        for c in block_sweep:
-            counters, engine = _traced_counters("mixen", g, block_nodes=c)
-            cycles[c] = _modeled_parallel_cycles(counters, engine)
+        for c in block_sizes:
+            engine = _prepared("mixen", g, block_nodes=c)
+            cycles[c] = _modeled_parallel_cycles(
+                iteration_counters(engine), engine
+            )
         best = min(cycles.values())
         row = {"graph": gname}
-        for c in block_sweep:
+        for c in block_sizes:
             row[str(c)] = cycles[c] / best if best else 0.0
         row["best"] = min(cycles, key=cycles.get)
         result.rows.append(row)
@@ -407,7 +405,7 @@ def fig7(
     *,
     scale: float = 2.0,
     graph: str = "pld",
-    block_sweep=DEFAULT_BLOCK_SWEEP,
+    block_sizes=DEFAULT_BLOCK_SIZES,
 ) -> ExperimentResult:
     """Figure 7: LLC hits and memory traffic vs block size (pld)."""
     result = ExperimentResult(
@@ -418,8 +416,9 @@ def fig7(
         ],
     )
     g = load_dataset(graph, scale=scale)
-    for c in block_sweep:
-        counters, engine = _traced_counters("mixen", g, block_nodes=c)
+    for c in block_sizes:
+        engine = _prepared("mixen", g, block_nodes=c)
+        counters = iteration_counters(engine)
         result.rows.append(
             {
                 "block_nodes": c,
@@ -512,7 +511,7 @@ def perfmodel_validation(
         engine = MixenEngine(g, block_nodes=DEFAULT_BLOCK_NODES)
         engine.prepare()
         model = model_for_engine(engine, property_bytes=4)
-        counters = measured_main_phase_counters(engine)
+        counters = iteration_counters(engine)
         predicted = model.traffic_bytes()
         measured = counters.traffic.total_bytes
         ratio = measured / predicted if predicted else float("inf")
@@ -565,7 +564,7 @@ def ablation_cache_step(
             row[f"{label}_s_per_iter"] = time_algorithm(
                 engine, InDegree, iterations=iterations
             ).per_iteration
-            counters = measured_main_phase_counters(engine)
+            counters = iteration_counters(engine)
             row[f"{label}_bytes"] = counters.traffic.total_bytes
         row["speedup"] = (
             row["uncached_s_per_iter"] / row["cached_s_per_iter"]
@@ -596,8 +595,8 @@ def ablation_hub_reorder(
         g = load_dataset(gname, scale=scale)
         row = {"graph": gname}
         for label, flag in (("reordered", True), ("plain", False)):
-            counters, _ = _traced_counters(
-                "mixen", g, hub_reorder=flag
+            counters = iteration_counters(
+                _prepared("mixen", g, hub_reorder=flag)
             )
             row[f"{label}_l2_hit"] = counters.caches["L2"].hit_ratio
             row[f"{label}_cycles"] = modeled_cycles(counters)
@@ -663,13 +662,10 @@ def ablation_edge_compression(
             "ratio": stats.compression_ratio,
         }
         for label, flag in (("raw", False), ("compressed", True)):
-            e = MixenEngine(
-                g, block_nodes=DEFAULT_BLOCK_NODES, compress=flag
+            counters = iteration_counters(
+                _prepared("mixen", g, compress=flag)
             )
-            e.prepare()
-            trace = AccessTrace(AddressSpace(SCALED_MACHINE.line_bytes))
-            e.traced_main_iteration(trace)
-            row[f"{label}_bytes"] = trace.traffic.total_bytes
+            row[f"{label}_bytes"] = counters.traffic.total_bytes
         result.rows.append(row)
     result.notes.append(
         "expected: compression collapses hub fan-outs inside blocks, "
@@ -704,7 +700,7 @@ def table3_modeled(
         cycles[fw] = {}
         for gname in graphs:
             g = load_dataset(gname, scale=scale)
-            counters, _ = _traced_counters(fw, g)
+            counters = iteration_counters(_prepared(fw, g))
             cycles[fw][gname] = modeled_cycles(counters)
     from .tables import geomean
 
@@ -741,8 +737,6 @@ def extension_filtered_baselines(
     variant on the simulated machine (modeled cycles and L2 behaviour of
     one propagation).
     """
-    from ..core.extension import FilteredEngine
-
     result = ExperimentResult(
         name="extension_filtered_baselines",
         title=(
@@ -756,13 +750,8 @@ def extension_filtered_baselines(
     )
     for gname in graphs:
         g = load_dataset(gname, scale=scale)
-        plain, _ = _traced_counters(base, g)
-        engine = FilteredEngine(g, base=base)
-        engine.prepare()
-        trace = AccessTrace(AddressSpace(SCALED_MACHINE.line_bytes))
-        engine.traced_propagate(np.ones(g.num_nodes), trace)
-        hierarchy = MemoryHierarchy(SCALED_MACHINE)
-        filtered = hierarchy.run_trace(trace)
+        plain = iteration_counters(_prepared(base, g))
+        filtered = iteration_counters(_prepared("filtered", g, base=base))
         pc = modeled_cycles(plain)
         fc = modeled_cycles(filtered)
         result.rows.append(
@@ -794,7 +783,6 @@ def reordering_comparison(
     situating the filter among the reordering literature the paper
     builds on.
     """
-    from ..core.extension import FilteredEngine
     from ..graphs.reorder import REORDERINGS
 
     strategies = ["original", *sorted(REORDERINGS), "mixen-filter"]
@@ -809,19 +797,15 @@ def reordering_comparison(
     for gname in graphs:
         g = load_dataset(gname, scale=scale)
         cycles = {}
-        baseline, _ = _traced_counters(base, g)
-        cycles["original"] = modeled_cycles(baseline)
+        cycles["original"] = modeled_cycles(
+            iteration_counters(_prepared(base, g))
+        )
         for sname, strategy in REORDERINGS.items():
             relabeled = g.relabeled(strategy(g))
-            counters, _ = _traced_counters(base, relabeled)
+            counters = iteration_counters(_prepared(base, relabeled))
             cycles[sname] = modeled_cycles(counters)
-        engine = FilteredEngine(g, base=base)
-        engine.prepare()
-        trace = AccessTrace(AddressSpace(SCALED_MACHINE.line_bytes))
-        engine.traced_propagate(np.ones(g.num_nodes), trace)
-        hierarchy = MemoryHierarchy(SCALED_MACHINE)
         cycles["mixen-filter"] = modeled_cycles(
-            hierarchy.run_trace(trace)
+            iteration_counters(_prepared("filtered", g, base=base))
         )
         row = {"graph": gname}
         for sname in strategies:
@@ -896,13 +880,8 @@ def mrc_study(
     for gname in graphs:
         g = load_dataset(gname, scale=scale)
         for variant in ("mixen", "pull"):
-            engine = _engine(variant, g)
-            engine.prepare()
             trace = AccessTrace(AddressSpace(SCALED_MACHINE.line_bytes))
-            if variant == "mixen":
-                engine.traced_main_iteration(trace)
-            else:
-                engine.traced_propagate(np.ones(g.num_nodes), trace)
+            _prepared(variant, g).trace_iteration(trace)
             lines = trace.lines()[trace.demand_mask()]
             distances = reuse_distances(lines)
             curve = miss_ratio_curve(distances, capacities_lines)

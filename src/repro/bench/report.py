@@ -104,8 +104,8 @@ def _quick_kwargs(fn_name: str) -> dict:
         "fig4": {"scale": 0.5, "iterations": 2, "graphs": ("wiki", "road")},
         "fig5": {"scale": 0.5, "graphs": ("wiki",)},
         "fig6": {"scale": 0.5, "graphs": ("wiki",),
-                 "block_sweep": (64, 512)},
-        "fig7": {"scale": 0.5, "block_sweep": (64, 512)},
+                 "block_sizes": (64, 512)},
+        "fig7": {"scale": 0.5, "block_sizes": (64, 512)},
         "motivation_models": {"graphs": ("wiki",)},
         "mrc_study": {"scale": 0.5, "graphs": ("wiki",),
                       "capacities_kb": (2, 16)},

@@ -7,13 +7,11 @@ Commands:
   the coupled hub/authority workloads ``hits`` and ``salsa``);
 * ``bfs`` — run BFS and report reach/levels;
 * ``sssp`` — run single-source shortest paths and report reach/depth;
-* ``tune`` — auto-tune the reordering and ``block_nodes`` for one
-  graph by sweeping the registered reorderings crossed with a
-  block-size candidate list through the modeled Figure 6/7 cost
+* ``tune`` — auto-tune the node ordering for one graph by sweeping the
+  registered reorderings through the modeled Figure 6/7 cost
   (:mod:`repro.tuning`), and write a versioned, graph-fingerprinted
-  config blob; ``run``/``bfs``/``sssp``/``serve`` consume it via
-  ``--tuned <path>`` (explicit ``--reorder``/``--block-nodes``/
-  ``--kernel`` flags always win);
+  config blob; ``run``/``bfs``/``sssp`` apply its ordering via
+  ``--tuned <path>`` (an explicit ``--reorder`` always wins);
 * ``analyze`` — check every layout contract and the race-freedom proof
   of a dataset's prepared structures (:mod:`repro.analysis`); with
   ``--certify``, also verify the structures' proof certificates against
@@ -167,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune_cmd = sub.add_parser(
         "tune",
-        help="auto-tune reordering and block size from the machine "
-        "model, writing a graph-fingerprinted config blob",
+        help="auto-tune the node ordering from the machine model, "
+        "writing a graph-fingerprinted config blob",
     )
     tune_cmd.add_argument(
         "--graph", choices=DATASET_NAMES, default="wiki"
@@ -182,11 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--orderings", metavar="LIST", default=None,
         help="comma-separated reorderings to sweep (default: 'none' "
         "plus the full registry)",
-    )
-    tune_cmd.add_argument(
-        "--block-sweep", metavar="LIST", default=None,
-        help="comma-separated block_nodes candidates "
-        "(default 128,256,512,1024,2048; 512 always participates)",
     )
     tune_cmd.add_argument(
         "--json", action="store_true",
@@ -264,17 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for the parallel backends",
     )
     serve.add_argument(
-        "--block-nodes", type=int, default=None, metavar="C",
-        help="nodes per block (default 512, or the tuned blob's "
-        "choice under --tuned)",
-    )
-    serve.add_argument(
-        "--tuned", metavar="PATH", default=None,
-        help="tuned-config blob written by 'repro tune'; supplies "
-        "block_nodes unless --block-nodes is given, and is recorded "
-        "in layout manifests so warm boots refuse a stale blob (the "
-        "blob's reordering is not applied — serving keeps original "
-        "node ids)",
+        "--block-nodes", type=int, default=512, metavar="C",
+        help="nodes per block (default 512)",
     )
     serve.add_argument(
         "--socket", metavar="PATH", default=None,
@@ -443,9 +427,9 @@ def _add_tuning_options(parser) -> None:
     )
     parser.add_argument(
         "--tuned", metavar="PATH", default=None,
-        help="apply a tuned-config blob written by 'repro tune' "
-        "(explicit --reorder/--block-nodes flags win; a blob minted "
-        "for a different graph or scale is refused)",
+        help="apply the ordering of a tuned-config blob written by "
+        "'repro tune' (an explicit --reorder wins; a blob minted for "
+        "a different graph or scale is refused)",
     )
 
 
@@ -556,28 +540,20 @@ def _engine_options(args) -> dict:
 def _apply_tuning(args, graph):
     """Resolve ``--tuned``/``--reorder`` against ``graph``.
 
-    Explicit flags always win over the blob.  Returns ``(graph, perm,
-    block_nodes)``: the (possibly relabeled) graph, the applied
-    permutation (``None`` for the identity), and the blob's
-    ``block_nodes`` when the flag was not given explicitly (``None``
-    otherwise — an explicit flag already flows through
-    :func:`_engine_options`).
+    An explicit ``--reorder`` wins over the blob.  Returns ``(graph,
+    perm)``: the (possibly relabeled) graph and the applied permutation
+    (``None`` for the identity).
     """
-    tuned = None
-    if getattr(args, "tuned", None):
-        from .tuning import load_tuned
+    from .tuning import apply_reordering, load_tuned
 
-        tuned = load_tuned(args.tuned, graph=graph)
-    reorder = getattr(args, "reorder", None)
+    reorder = args.reorder
     if reorder is None:
-        reorder = tuned.reorder if tuned is not None else "none"
-    block_nodes = None
-    if tuned is not None and getattr(args, "block_nodes", None) is None:
-        block_nodes = tuned.block_nodes
-    from .tuning import apply_reordering
-
-    graph, perm = apply_reordering(graph, reorder)
-    return graph, perm, block_nodes
+        reorder = (
+            load_tuned(args.tuned, graph=graph).reorder
+            if args.tuned
+            else "none"
+        )
+    return apply_reordering(graph, reorder)
 
 
 def _map_source(source: int, perm, num_nodes: int) -> int:
@@ -593,11 +569,8 @@ def _cmd_run(args, out) -> int:
     if args.algorithm in COUPLED_ALGORITHMS:
         return _cmd_run_coupled(args, out)
     graph = load_dataset(args.graph, scale=args.scale)
-    graph, perm, tuned_block = _apply_tuning(args, graph)
-    options = _engine_options(args)
-    if tuned_block is not None and args.engine in KERNEL_ENGINES:
-        options["block_nodes"] = tuned_block
-    engine = make_engine(args.engine, graph, **options)
+    graph, perm = _apply_tuning(args, graph)
+    engine = make_engine(args.engine, graph, **_engine_options(args))
     prep = engine.prepare()
     algorithm = ALGORITHMS[args.algorithm]()
     resilience = _resilience_context(args)
@@ -647,11 +620,8 @@ def _cmd_run(args, out) -> int:
 def _cmd_run_coupled(args, out) -> int:
     """``run`` for the driver-based hub/authority pair (HITS/SALSA)."""
     graph = load_dataset(args.graph, scale=args.scale)
-    graph, perm, tuned_block = _apply_tuning(args, graph)
-    options = _engine_options(args)
-    if tuned_block is not None and args.engine in KERNEL_ENGINES:
-        options["block_nodes"] = tuned_block
-    engine = make_engine(args.engine, graph, **options)
+    graph, perm = _apply_tuning(args, graph)
+    engine = make_engine(args.engine, graph, **_engine_options(args))
     prep = engine.prepare()
     runner = COUPLED_ALGORITHMS[args.algorithm]
     resilience = _resilience_context(args)
@@ -696,11 +666,8 @@ def _cmd_bfs(args, out) -> int:
     source = (
         args.source if args.source is not None else default_source(graph)
     )
-    graph, perm, tuned_block = _apply_tuning(args, graph)
-    options = _engine_options(args)
-    if tuned_block is not None and args.engine in KERNEL_ENGINES:
-        options["block_nodes"] = tuned_block
-    engine = make_engine(args.engine, graph, **options)
+    graph, perm = _apply_tuning(args, graph)
+    engine = make_engine(args.engine, graph, **_engine_options(args))
     engine.prepare()
     resilience = _resilience_context(args)
     start = time.perf_counter()
@@ -731,7 +698,7 @@ def _cmd_sssp(args, out) -> int:
     source = (
         args.source if args.source is not None else default_source(graph)
     )
-    graph, perm, _ = _apply_tuning(args, graph)
+    graph, perm = _apply_tuning(args, graph)
     resilience = _resilience_context(args)
     start = time.perf_counter()
     try:
@@ -759,7 +726,7 @@ def _cmd_sssp(args, out) -> int:
 
 
 def _cmd_tune(args, out) -> int:
-    from .tuning import CANDIDATE_BLOCK_NODES, tune_graph
+    from .tuning import tune_graph
 
     graph = load_dataset(args.graph, scale=args.scale)
     orderings = None
@@ -769,30 +736,14 @@ def _cmd_tune(args, out) -> int:
             for token in args.orderings.split(",")
             if token.strip()
         )
-    block_sweep = CANDIDATE_BLOCK_NODES
-    if args.block_sweep:
-        try:
-            block_sweep = tuple(
-                int(token)
-                for token in args.block_sweep.split(",")
-                if token.strip()
-            )
-        except ValueError as exc:
-            raise ReproError(f"bad --block-sweep: {exc}") from exc
-    config = tune_graph(
-        graph,
-        name=args.graph,
-        orderings=orderings,
-        block_sweep=block_sweep,
-    )
+    config = tune_graph(graph, name=args.graph, orderings=orderings)
     path = config.save(
         args.out or f"bench_results/tuned/{args.graph}.json"
     )
     print(
         f"tuned {args.graph} (scale {args.scale:g}, "
-        f"{len(config.sweep)} candidates): reorder={config.reorder}, "
-        f"block_nodes={config.block_nodes} — modeled "
-        f"{config.tuned_cycles:.0f} vs default "
+        f"{len(config.sweep)} candidates): reorder={config.reorder} — "
+        f"modeled {config.tuned_cycles:.0f} vs default "
         f"{config.default_cycles:.0f} cycles/iter "
         f"({config.gain:.2f}x)",
         file=out,
@@ -894,18 +845,8 @@ def _cmd_serve(args, out) -> int:
     graph = load_dataset(args.graph, scale=args.scale)
     store = LayoutStore(args.store_dir)
     config = _serve_config(args)
-    tuned = None
-    if args.tuned:
-        from .tuning import load_tuned
-
-        tuned = load_tuned(args.tuned, graph=graph)
-    block_nodes = args.block_nodes
-    if block_nodes is None:
-        block_nodes = tuned.block_nodes if tuned is not None else 512
     if args.socket:
-        return _cmd_serve_socket(
-            args, graph, store, config, block_nodes, tuned, out
-        )
+        return _cmd_serve_socket(args, graph, store, config, out)
     if args.update_drill:
         report = run_update_drill(
             graph,
@@ -916,11 +857,10 @@ def _cmd_serve(args, out) -> int:
             seed=args.seed,
             kernel=args.kernel,
             max_workers=args.mp_workers,
-            block_nodes=block_nodes,
+            block_nodes=args.block_nodes,
             config=config,
             fault_spec=args.fault_inject,
             verify=not args.no_verify,
-            tuned=tuned,
         )
         if args.json:
             import json
@@ -936,12 +876,11 @@ def _cmd_serve(args, out) -> int:
         seed=args.seed,
         kernel=args.kernel,
         max_workers=args.mp_workers,
-        block_nodes=block_nodes,
+        block_nodes=args.block_nodes,
         config=config,
         fault_spec=args.fault_inject,
         verify=not args.no_verify,
         expect_warm=args.expect_warm,
-        tuned=tuned,
     )
     if args.json:
         import json
@@ -952,9 +891,7 @@ def _cmd_serve(args, out) -> int:
     return 0
 
 
-def _cmd_serve_socket(
-    args, graph, store, config, block_nodes, tuned, out
-) -> int:
+def _cmd_serve_socket(args, graph, store, config, out) -> int:
     import asyncio
     import signal
 
@@ -969,8 +906,7 @@ def _cmd_serve_socket(
             store,
             kernel=args.kernel,
             max_workers=args.mp_workers,
-            block_nodes=block_nodes,
-            tuned=tuned,
+            block_nodes=args.block_nodes,
         )
         if args.expect_warm:
             ensure_warm(engine, boot)

@@ -19,7 +19,7 @@ from .partition import (
     make_block_tasks,
     partition_regular,
 )
-from .perfmodel import measured_main_phase_counters, model_for_engine
+from .perfmodel import iteration_counters, model_for_engine
 from .permutation import (
     compose,
     invert,
@@ -55,8 +55,8 @@ __all__ = [
     "filter_graph",
     "invert",
     "is_permutation",
+    "iteration_counters",
     "make_block_tasks",
-    "measured_main_phase_counters",
     "model_for_engine",
     "partition_regular",
     "permute_values",

@@ -41,7 +41,7 @@ from .filtering import FilterPlan, filter_graph
 from .mixed_format import MixedGraph, build_mixed
 from .partition import RegularPartition, partition_regular
 from .permutation import permute_values, unpermute_values
-from .scga import ScgaKernel
+from .scga import ScgaKernel, trace_scga_iteration
 from .scheduler import MixenRunResult, run_schedule
 from .semiring import MIN_PLUS
 
@@ -235,41 +235,17 @@ class MixenEngine(Engine):
         )
         return unpermute_values(y_p, plan.perm)
 
-    def traced_propagate(self, x: np.ndarray, trace) -> np.ndarray:
-        """One full traced propagation: Main-Phase iteration plus the
-        (normally amortized) sink pull.  The recorded pattern does not
-        depend on ``x``; the values are :meth:`propagate`'s."""
-        self.traced_main_iteration(trace)
-        self._trace_post_phase(trace)
-        return self.propagate(x)
-
-    def traced_main_iteration(self, trace) -> None:
-        """Record exactly one Main-Phase iteration's access pattern — the
-        per-iteration workload Figures 4–7 measure."""
+    def trace_iteration(self, trace) -> None:
+        """Record one Main-Phase iteration's access pattern — the
+        per-iteration workload Figures 4–7 measure; runs no kernel."""
         self._require_prepared()
-        kernel = self._make_kernel()
-        r = self.plan.num_regular
-        xs = np.ones(r, dtype=VALUE_DTYPE)
-        kernel.set_seed_input(
-            np.ones(self.plan.num_seed, dtype=VALUE_DTYPE)
+        trace_scga_iteration(
+            self.partition,
+            self.mixed.seed_to_reg,
+            trace,
+            cache_step=self.cache_step,
+            compress=self.compress,
         )
-        kernel.traced_iterate(xs, trace, compress=self.compress)
-
-    def _trace_post_phase(self, trace) -> None:
-        """The paper's CSC sink pull, whatever ``kernel`` executes."""
-        sink_csc = self.mixed.sink_csc
-        if sink_csc.num_edges == 0:
-            return
-        space = trace.space
-        if "sinkIdx" not in space:
-            space.register("sinkPtr", sink_csc.num_rows + 1, 4)
-            space.register("sinkIdx", sink_csc.num_edges, 4)
-            space.register("xSources", max(sink_csc.num_cols, 1), 4)
-            space.register("ySink", max(sink_csc.num_rows, 1), 4)
-        trace.sequential("sinkPtr", 0, sink_csc.num_rows + 1)
-        trace.sequential("sinkIdx", 0, sink_csc.num_edges)
-        trace.gather("xSources", sink_csc.indices)
-        trace.sequential("ySink", 0, sink_csc.num_rows, write=True)
 
     # ------------------------------------------------------------------ #
     # algorithms

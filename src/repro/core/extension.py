@@ -94,12 +94,10 @@ class FilteredEngine(Engine):
         yp = self.base.propagate_out(xp)
         return unpermute_values(yp, self.plan.perm)
 
-    def traced_propagate(self, x: np.ndarray, trace) -> np.ndarray:
+    def trace_iteration(self, trace) -> None:
         self._require_prepared()
         assert self.base is not None
-        xp = permute_values(np.asarray(x), self.plan.perm)
-        yp = self.base.traced_propagate(xp, trace)
-        return unpermute_values(yp, self.plan.perm)
+        self.base.trace_iteration(trace)
 
     def run_bfs(self, source: int, *, resilience=None) -> np.ndarray:
         self._require_prepared()

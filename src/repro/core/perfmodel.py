@@ -2,9 +2,9 @@
 
 :func:`model_for_engine` instantiates the Eq. (1)–(2) cost model with the
 engine's *measured* alpha/beta/block-size, so benches can compare predicted
-against simulated counters; :func:`measured_main_phase_counters` runs one
-traced Main-Phase iteration through a memory hierarchy and returns what the
-"hardware" saw.
+against simulated counters; :func:`iteration_counters` records one
+iteration of any prepared engine's access pattern and runs it through a
+memory hierarchy, returning what the "hardware" saw.
 """
 
 from __future__ import annotations
@@ -32,16 +32,12 @@ def model_for_engine(
     )
 
 
-def measured_main_phase_counters(
-    engine: MixenEngine,
-    *,
-    spec: MachineSpec = SCALED_MACHINE,
-    exact_lru: bool = False,
+def iteration_counters(
+    engine, *, spec: MachineSpec = SCALED_MACHINE
 ) -> MachineCounters:
-    """Counters of one simulated Main-Phase iteration."""
-    engine._require_prepared()
-    space = AddressSpace(spec.line_bytes)
-    trace = AccessTrace(space)
-    engine.traced_main_iteration(trace)
-    hierarchy = MemoryHierarchy(spec, exact_lru=exact_lru)
-    return hierarchy.run_trace(trace)
+    """Counters of one simulated iteration of a prepared engine
+    (:meth:`~repro.frameworks.base.Engine.trace_iteration`; for Mixen,
+    the Main-Phase)."""
+    trace = AccessTrace(AddressSpace(spec.line_bytes))
+    engine.trace_iteration(trace)
+    return MemoryHierarchy(spec).run_trace(trace)

@@ -138,44 +138,45 @@ class ScgaKernel:
             y = y + self.push_seed(self._xs_seed)
         return y
 
-    def traced_iterate(
-        self, xs_reg: np.ndarray, trace, *, compress: bool = False
-    ) -> np.ndarray:
-        """One Main-Phase iteration with its access pattern recorded.
 
-        Registers the kernel's arrays in the trace's address space on first
-        use: the regular x/y segments, the dynamic bins, and the static
-        bins (or the seed structures, for the no-cache ablation).  The
-        recorded pattern is the paper's Scatter-Cache-Gather whatever
-        :attr:`kernel` executes; only the returned values come from it.
-        """
-        r = self.num_regular
-        m_rr = self.partition.layout.num_edges
-        space = trace.space
-        if "x" not in space:
-            b = self.partition.layout.num_blocks_per_side
-            pad = b * b * (space.line_bytes // 4 + 1)
-            space.register("x", max(r, 1), 4)
-            space.register("y", max(r, 1), 4)
-            space.register("bins", max(m_rr, 1) + pad, 4)
-            space.register("binPtr", b * b + 1, 8)
-            space.register("sta", max(r, 1), 4)
-            n_seed = self.seed_to_reg.num_rows
-            m_seed = self.seed_to_reg.num_edges
-            space.register("seedIdx", max(m_seed, 1), 4)
-            space.register("xSeed", max(n_seed, 1), 4)
-        if self.cache_step:
-            # Cache step: stream the static bins into the destination
-            # segment (the reset of the accumulation base).
-            if r:
-                trace.sequential("sta", 0, r)
-                trace.sequential("y", 0, r, write=True)
-        elif self.seed_to_reg.num_edges:
-            # Ablation: re-push every seed message each iteration.
-            trace.sequential("xSeed", 0, self.seed_to_reg.num_rows)
-            trace.sequential("seedIdx", 0, self.seed_to_reg.num_edges)
-            trace.scatter("y", self.seed_to_reg.indices)
-        trace_blocked_iteration(
-            self.partition.layout, trace, compress=compress
-        )
-        return self.iterate(xs_reg)
+def trace_scga_iteration(
+    partition: RegularPartition,
+    seed_to_reg: CSR,
+    trace,
+    *,
+    cache_step: bool = True,
+    compress: bool = False,
+) -> None:
+    """Record one Main-Phase iteration's access pattern; runs no kernel.
+
+    Registers the iteration's arrays in the trace's address space on
+    first use: the regular x/y segments, the dynamic bins, and the
+    static bins (or the seed structures, for the no-cache ablation).
+    The recorded pattern is the paper's Scatter-Cache-Gather whatever
+    ``--kernel`` executes.
+    """
+    layout = partition.layout
+    r = layout.num_nodes
+    space = trace.space
+    if "x" not in space:
+        b = layout.num_blocks_per_side
+        pad = b * b * (space.line_bytes // 4 + 1)
+        space.register("x", max(r, 1), 4)
+        space.register("y", max(r, 1), 4)
+        space.register("bins", max(layout.num_edges, 1) + pad, 4)
+        space.register("binPtr", b * b + 1, 8)
+        space.register("sta", max(r, 1), 4)
+        space.register("seedIdx", max(seed_to_reg.num_edges, 1), 4)
+        space.register("xSeed", max(seed_to_reg.num_rows, 1), 4)
+    if cache_step:
+        # Cache step: stream the static bins into the destination
+        # segment (the reset of the accumulation base).
+        if r:
+            trace.sequential("sta", 0, r)
+            trace.sequential("y", 0, r, write=True)
+    elif seed_to_reg.num_edges:
+        # Ablation: re-push every seed message each iteration.
+        trace.sequential("xSeed", 0, seed_to_reg.num_rows)
+        trace.sequential("seedIdx", 0, seed_to_reg.num_edges)
+        trace.scatter("y", seed_to_reg.indices)
+    trace_blocked_iteration(layout, trace, compress=compress)

@@ -9,9 +9,10 @@ An :class:`Engine` owns one prepared graph and exposes:
   overrides it with its phase-scheduled version);
 * :meth:`run_bfs` — breadth-first search (engines override with their
   characteristic strategies);
-* :meth:`traced_propagate` — the same logical propagation, recorded into an
-  :class:`~repro.machine.trace.AccessTrace` for the machine-model
-  experiments (implemented by the engines the paper's Figures 4–7 study).
+* :meth:`trace_iteration` — one propagation's access pattern, recorded
+  into an :class:`~repro.machine.trace.AccessTrace` for the machine-model
+  experiments without computing anything (implemented by the engines the
+  paper's Figures 4–7 study).
 
 ``prepare()`` is where each framework pays its preprocessing cost — the
 quantity Table 4 compares — and returns a timed breakdown.
@@ -170,14 +171,15 @@ class Engine(abc.ABC):
             )
         return segment_sum(gathered, csr.indptr)
 
-    def traced_propagate(self, x: np.ndarray, trace) -> np.ndarray:
-        """Like :meth:`propagate`, recording accesses into ``trace``.
+    def trace_iteration(self, trace) -> None:
+        """Record one propagation iteration's access pattern into
+        ``trace`` without running it.
 
         Only the engines studied by the paper's memory experiments
         implement this.
         """
         raise EngineError(
-            f"{type(self).__name__} does not support traced propagation"
+            f"{type(self).__name__} does not support tracing"
         )
 
     # ------------------------------------------------------------------ #

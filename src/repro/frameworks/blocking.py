@@ -483,7 +483,7 @@ class BlockingEngine(Engine):
             max_workers=self.max_workers,
         )
 
-    def traced_propagate(self, x: np.ndarray, trace) -> np.ndarray:
+    def trace_iteration(self, trace) -> None:
         """Blocked GAS with its access pattern recorded."""
         self._require_prepared()
         n, m = self.graph.num_nodes, self.graph.num_edges
@@ -501,7 +501,6 @@ class BlockingEngine(Engine):
         if m:
             trace.sequential("csrIdx", 0, m)
             trace_blocked_iteration(self.layout, trace)
-        return self.propagate(x)
 
     def run_bfs(self, source: int, *, resilience=None) -> np.ndarray:
         """Frontier BFS over the layout

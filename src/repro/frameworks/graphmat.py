@@ -73,7 +73,7 @@ class GraphMatEngine(Engine):
             gathered = gathered * self._values[:, None]
         return segment_sum(gathered, self._csc.indptr)
 
-    def traced_propagate(self, x: np.ndarray, trace) -> np.ndarray:
+    def trace_iteration(self, trace) -> None:
         """Pull-flow SpMV with its access pattern recorded; GraphMat also
         streams its explicit value array alongside the indices."""
         self._require_prepared()
@@ -91,4 +91,3 @@ class GraphMatEngine(Engine):
             trace.sequential("vals", 0, m)
             trace.gather("x", self._csc.indices)
         trace.sequential("y", 0, n, write=True)
-        return self.propagate(x)

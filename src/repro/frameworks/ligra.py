@@ -76,7 +76,7 @@ class LigraEngine(Engine):
         np.add.at(y, self._csr.indices, x[self._edge_src])
         return y
 
-    def traced_propagate(self, x: np.ndarray, trace) -> np.ndarray:
+    def trace_iteration(self, trace) -> None:
         """Dense push edgeMap with its access pattern recorded: sequential
         structure and x scans, one random (atomic-add) scatter into y per
         edge — the paper's explanation for Ligra's link-analysis cost."""
@@ -93,7 +93,6 @@ class LigraEngine(Engine):
         if m:
             trace.sequential("csrIdx", 0, m)
             trace.scatter("y", self._csr.indices)
-        return self.propagate(x)
 
     # ------------------------------------------------------------------ #
     def run_bfs(self, source: int, *, resilience=None) -> np.ndarray:

@@ -91,7 +91,7 @@ class PolymerEngine(Engine):
             y[lo:hi] = segment_sum(gathered, part.indptr)
         return y
 
-    def traced_propagate(self, x: np.ndarray, trace) -> np.ndarray:
+    def trace_iteration(self, trace) -> None:
         """Per-socket pull with its access pattern recorded.  Each socket
         scans its local CSC and y range sequentially; the x gathers reach
         across the whole node set (the remote-socket reads Polymer's NUMA
@@ -115,4 +115,3 @@ class PolymerEngine(Engine):
                 trace.gather("x", part.indices)
             if part.num_rows:
                 trace.sequential("y", lo, part.num_rows, write=True)
-        return self.propagate(x)

@@ -47,7 +47,7 @@ class PullEngine(Engine):
             )
         return segment_sum(gathered, self._csc.indptr)
 
-    def traced_propagate(self, x: np.ndarray, trace) -> np.ndarray:
+    def trace_iteration(self, trace) -> None:
         """Pull flow with its exact access pattern recorded.
 
         Per iteration (matching the Section 3 accounting): scan cscPtr
@@ -68,4 +68,3 @@ class PullEngine(Engine):
             trace.sequential("cscIdx", 0, m)
             trace.gather("x", csc.indices)
         trace.sequential("y", 0, n, write=True)
-        return self.propagate(x)

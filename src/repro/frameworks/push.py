@@ -51,7 +51,7 @@ class PushEngine(Engine):
         np.add.at(y, self._edge_dst, vals)
         return y
 
-    def traced_propagate(self, x: np.ndarray, trace) -> np.ndarray:
+    def trace_iteration(self, trace) -> None:
         """Push flow with its access pattern recorded: sequential csrPtr,
         csrIdx and x scans; random scatters into y (m of them)."""
         self._require_prepared()
@@ -67,4 +67,3 @@ class PushEngine(Engine):
         if m:
             trace.sequential("csrIdx", 0, m)
             trace.scatter("y", self._edge_dst)
-        return self.propagate(x)

@@ -21,12 +21,9 @@ from .model import (
 )
 from .reuse import (
     COLD,
-    footprint_curve,
-    footprint_hit_ratio,
     hits_from_distances,
     miss_ratio_curve,
     reuse_distances,
-    reuse_times,
 )
 from .trace import AccessTrace, AddressSpace, ArrayRegion
 
@@ -50,13 +47,10 @@ __all__ = [
     "TrafficCounters",
     "blocking_random_accesses",
     "blocking_traffic_bytes",
-    "footprint_curve",
-    "footprint_hit_ratio",
     "hits_from_distances",
     "miss_ratio_curve",
     "modeled_cycles",
     "pull_random_accesses",
     "pull_traffic_bytes",
     "reuse_distances",
-    "reuse_times",
 ]

@@ -4,16 +4,10 @@ The stack distance of an access is the number of *distinct* lines touched
 since the previous access to the same line; under fully-associative LRU with
 capacity ``C`` lines, an access hits iff its stack distance is < C (Mattson's
 classical result).  This gives the whole miss-ratio curve of a trace in one
-pass, which the block-size experiments (Figures 6–7) lean on.
+pass, which the miss-ratio-curve study leans on.
 
-Two implementations:
-
-* :func:`reuse_distances` — exact, via a Fenwick tree (O(N log N), Python
-  loop; intended for proxy-sized traces and as the correctness reference).
-* :func:`footprint_hit_ratio` — a fast vectorized approximation in the
-  spirit of working-set/footprint theory: reuse *time* is exact and cheap,
-  and a sampled time->footprint curve converts the capacity into a time
-  threshold.
+:func:`reuse_distances` is exact, via a Fenwick tree (O(N log N), Python
+loop; intended for proxy-sized traces).
 """
 
 from __future__ import annotations
@@ -111,87 +105,3 @@ def miss_ratio_curve(
     hits = np.searchsorted(finite_sorted, capacities, side="left")
     misses = distances.size - hits
     return misses / distances.size
-
-
-def reuse_times(lines: np.ndarray) -> np.ndarray:
-    """Accesses since the previous access to the same line (``COLD`` for
-    first touch).  Exact and fully vectorized."""
-    lines = np.asarray(lines, dtype=np.int64)
-    n = lines.size
-    out = np.full(n, COLD, dtype=np.int64)
-    if n == 0:
-        return out
-    order = np.lexsort((np.arange(n), lines))
-    s_lines = lines[order]
-    s_times = order  # positions in trace order
-    same = s_lines[1:] == s_lines[:-1]
-    deltas = s_times[1:] - s_times[:-1]
-    out[s_times[1:][same]] = deltas[same]
-    return out
-
-
-def footprint_curve(
-    lines: np.ndarray,
-    window_sizes: np.ndarray,
-    *,
-    samples_per_window: int = 32,
-    seed: int = 0,
-) -> np.ndarray:
-    """Average number of distinct lines in random windows of each size.
-
-    Sampled estimate of the footprint function fp(w) used by
-    :func:`footprint_hit_ratio`.
-    """
-    lines = np.asarray(lines, dtype=np.int64)
-    window_sizes = np.asarray(window_sizes, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    n = lines.size
-    fp = np.zeros(window_sizes.size, dtype=np.float64)
-    for k, w in enumerate(window_sizes.tolist()):
-        w = min(max(int(w), 1), n)
-        if n == 0:
-            continue
-        starts = rng.integers(0, max(n - w, 0) + 1, samples_per_window)
-        counts = [
-            np.unique(lines[s : s + w]).size for s in starts.tolist()
-        ]
-        fp[k] = float(np.mean(counts))
-    return fp
-
-
-def footprint_hit_ratio(
-    lines: np.ndarray,
-    capacity_lines: int,
-    *,
-    num_windows: int = 24,
-    seed: int = 0,
-) -> float:
-    """Fast approximate LRU hit ratio via footprint theory.
-
-    An access with reuse time ``rt`` hits when the average footprint of a
-    window of length ``rt`` fits in the cache: fp(rt) <= capacity.  We
-    estimate fp on a geometric grid of window sizes, invert it at the
-    capacity, and threshold the exact reuse-time profile.
-    """
-    lines = np.asarray(lines, dtype=np.int64)
-    n = lines.size
-    if n == 0:
-        return 0.0
-    rts = reuse_times(lines)
-    finite = rts != COLD
-    if not finite.any():
-        return 0.0
-    grid = np.unique(
-        np.geomspace(1, n, num=num_windows).astype(np.int64)
-    )
-    fp = footprint_curve(lines, grid, seed=seed)
-    # Largest window whose footprint still fits.
-    fits = fp <= capacity_lines
-    if not fits.any():
-        w_star = 0
-    elif fits.all():
-        w_star = n
-    else:
-        w_star = int(grid[np.flatnonzero(fits)[-1]])
-    hits = finite & (rts <= w_star)
-    return float(np.count_nonzero(hits)) / n

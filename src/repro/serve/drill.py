@@ -218,7 +218,6 @@ def run_drill(
     fault_spec: str | None = None,
     verify: bool = True,
     expect_warm: bool = False,
-    tuned=None,
 ) -> DrillReport:
     """Run one deterministic chaos drill and return its report.
 
@@ -237,7 +236,6 @@ def run_drill(
             kernel=kernel,
             max_workers=max_workers,
             block_nodes=block_nodes,
-            tuned=tuned,
         )
         if expect_warm:
             ensure_warm(engine, boot)
@@ -430,7 +428,6 @@ def run_update_drill(
     config: ServeConfig | None = None,
     fault_spec: str | None = None,
     verify: bool = True,
-    tuned=None,
 ) -> UpdateDrillReport:
     """Serve a query workload while streaming edge updates, then check
     every completed response bitwise against a **fresh from-scratch
@@ -464,7 +461,6 @@ def run_update_drill(
             kernel=kernel,
             max_workers=max_workers,
             block_nodes=block_nodes,
-            tuned=tuned,
         )
         server = MixenServer(engine, config=config, boot=boot)
         outcomes, applied, update_errors = asyncio.run(

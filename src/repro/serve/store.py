@@ -106,8 +106,7 @@ class BootReport:
     #: dropped (the boot then rebuilt and re-committed).
     rebuilt: bool
     seconds: float
-    #: why the store missed ("absent", "corrupt artifact ...",
-    #: "stale tuned config ...").
+    #: why the store missed ("absent", "corrupt artifact ...").
     miss_reason: str | None = None
 
 
@@ -480,7 +479,6 @@ def boot_engine(
     kernel: str = "reduceat",
     max_workers: int | None = None,
     block_nodes: int = 512,
-    tuned=None,
 ):
     """Boot a :class:`MixenEngine` through ``store``: warm when the
     fingerprinted layout is committed and verifies, cold (build then
@@ -491,12 +489,6 @@ def boot_engine(
     of later epochs in memory and never writes them here, and an entry
     is keyed on the adjacency, so a graph an update stream returned to
     its boot content still boots warm.
-
-    ``tuned`` (a :class:`~repro.tuning.TunedConfig` or ``None``)
-    records the tuned-config blob the boot was configured from in the
-    manifest; a committed layout whose recorded blob id differs from
-    the offered one is refused and rebuilt, so retuning can never
-    warm-boot into a pre-retune layout.
 
     Returns ``(engine, BootReport)``.
     """
@@ -517,30 +509,17 @@ def boot_engine(
     except InjectedFault as exc:
         loaded = None
         miss_reason = f"store read failed: {exc}"
-    tuned_id = "" if tuned is None else str(tuned.blob_id)
     if loaded is not None:
-        arrays, meta = loaded
-        saved_tuned = str(meta.get("tuned_id", ""))
-        if saved_tuned == tuned_id:
-            install_layout(engine, arrays, meta)
-            seconds = time.perf_counter() - t0
-            engine.prepare_stats = PrepareStats(
-                seconds, {"store-load": seconds}
-            )
-            engine.prepared = True
-            return engine, BootReport(fingerprint, True, False, seconds)
-        # stale tuned config: the layout was committed under a
-        # different (or no) tuning blob — reject and rebuild
-        miss_reason = (
-            f"stale tuned config {saved_tuned[:12] or '<none>'} != "
-            f"{tuned_id[:12] or '<none>'}"
+        install_layout(engine, *loaded)
+        seconds = time.perf_counter() - t0
+        engine.prepare_stats = PrepareStats(
+            seconds, {"store-load": seconds}
         )
-        store.drop(fingerprint)
+        engine.prepared = True
+        return engine, BootReport(fingerprint, True, False, seconds)
     rebuilt = miss_reason is not None and miss_reason != "absent"
     engine.prepare()
-    arrays, meta = pack_engine(engine)
-    meta["tuned_id"] = tuned_id
-    store.put(fingerprint, arrays, meta)
+    store.put(fingerprint, *pack_engine(engine))
     seconds = time.perf_counter() - t0
     return engine, BootReport(
         fingerprint, False, rebuilt, seconds, miss_reason

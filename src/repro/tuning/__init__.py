@@ -1,14 +1,13 @@
-"""Profile-driven auto-tuning of reordering and block size (DESIGN 4j).
+"""Profile-driven auto-tuning of the node ordering (DESIGN 4j).
 
-The tuner sweeps every registered reordering crossed with a block-size
-candidate list through the modeled Figure 6/7 cost and emits a
-versioned, graph-fingerprinted JSON blob; ``--tuned <path>`` applies it
-across the CLI, with explicit flags always winning.
+The tuner sweeps every registered reordering through the modeled
+Figure 6/7 cost and emits a versioned, graph-fingerprinted JSON blob;
+``--tuned <path>`` applies its ordering to ``run``/``bfs``/``sssp``,
+with an explicit ``--reorder`` always winning.
 """
 
 from .profile import StructuralProfile, graph_fingerprint
 from .tuner import (
-    CANDIDATE_BLOCK_NODES,
     DEFAULT_BLOCK_NODES,
     DEFAULT_REORDER,
     TUNE_VERSION,
@@ -21,7 +20,6 @@ from .tuner import (
 )
 
 __all__ = [
-    "CANDIDATE_BLOCK_NODES",
     "DEFAULT_BLOCK_NODES",
     "DEFAULT_REORDER",
     "TUNE_VERSION",

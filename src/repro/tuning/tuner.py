@@ -1,27 +1,26 @@
-"""Profile-driven auto-tuner: choose reordering and block size per graph.
+"""Profile-driven auto-tuner: choose the node ordering per graph.
 
-The paper fixes ``block_nodes = 512`` and always applies its own filter;
-Section 5 says both knobs should instead follow the structural profile.
-This module sweeps every registered reordering (plus ``"none"``, the
-untuned identity) crossed with a block-size candidate list through the
-*modeled* Figure 6/7 cost — one traced Scatter-Cache-Gather iteration,
+The paper always applies its own filter; Section 5 says the layout
+should instead follow the structural profile.  This module sweeps every
+registered reordering (plus ``"none"``, the untuned identity) through
+the *modeled* Figure 6/7 cost at the model's default block of
+:data:`DEFAULT_BLOCK_NODES` — one traced Scatter-Cache-Gather iteration,
 the same for every ``--kernel``, through the simulated memory hierarchy
 divided by the parallel-schedule efficiency (:mod:`repro.bench.experiments`)
 — and emits a versioned, graph-fingerprinted JSON blob recording the
-winner; the blob names no kernel.
+winner.  Block size is not a choice: the executed ``bincount`` kernel
+reads only the destination-major plan, whose order does not depend on
+it, so it stays the Figure 6/7 model knob.
 
 No wall-clock measurement is involved, so tuning is deterministic: the
-same graph always produces byte-identical blobs, the default
-configuration is always among the candidates (the tuned choice can
-never be modeled-slower than the default), and ties resolve to the
-earliest candidate in sweep order (``"none"`` first, block sizes
-ascending).
+same graph always produces byte-identical blobs, the identity is always
+among the candidates (the tuned choice can never be modeled-slower than
+the default), and ties resolve to the earliest candidate in sweep order
+(``"none"`` first).
 
 Consumption: ``python -m repro tune`` writes the blob; ``run``/``bfs``/
-``sssp``/``serve --tuned <path>`` apply it (explicit flags win);
-:func:`repro.serve.store.boot_engine` records the blob id in layout
-manifests and refuses to warm-boot a layout committed under another
-blob.
+``sssp --tuned <path>`` apply its ordering (an explicit ``--reorder``
+wins).
 """
 
 from __future__ import annotations
@@ -39,18 +38,17 @@ from ..graphs.graph import Graph
 from ..graphs.reorder import REORDERINGS
 from .profile import StructuralProfile, graph_fingerprint
 
-#: tuned-config schema version; a bump invalidates every existing blob.
-TUNE_VERSION = 1
+#: tuned-config schema version; a bump invalidates every existing blob
+#: (version 2 dropped the block-size choice).
+TUNE_VERSION = 2
 
 #: the identity ordering (the untuned baseline every sweep includes).
 DEFAULT_REORDER = "none"
 
-#: the untuned block size (the paper's Section 6 default).
+#: the block size the model traces every candidate at (the paper's
+#: Section 6 default).
 DEFAULT_BLOCK_NODES = 512
 
-#: block-size candidates: powers of two around the L1/L2 node capacities
-#: of the scaled machine (the Figure 6 sweet-spot range).
-CANDIDATE_BLOCK_NODES = (128, 256, 512, 1024, 2048)
 
 def candidate_orderings() -> tuple[str, ...]:
     """Sweep order: the identity first, then the registry sorted."""
@@ -78,14 +76,14 @@ def apply_reordering(
     return graph.relabeled(perm), perm
 
 
-def modeled_iteration_cycles(graph: Graph, *, block_nodes: int) -> float:
-    """Modeled parallel cycles of one Main-Phase iteration (Fig 6/7)."""
-    from ..bench.experiments import _modeled_parallel_cycles, _traced_counters
+def modeled_iteration_cycles(graph: Graph) -> float:
+    """Modeled parallel cycles of one Main-Phase iteration (Fig 6/7) at
+    :data:`DEFAULT_BLOCK_NODES`."""
+    from ..bench.experiments import _modeled_parallel_cycles, _prepared
+    from ..core.perfmodel import iteration_counters
 
-    counters, engine = _traced_counters(
-        "mixen", graph, block_nodes=block_nodes
-    )
-    return _modeled_parallel_cycles(counters, engine)
+    engine = _prepared("mixen", graph, block_nodes=DEFAULT_BLOCK_NODES)
+    return _modeled_parallel_cycles(iteration_counters(engine), engine)
 
 
 @dataclass(frozen=True)
@@ -96,13 +94,12 @@ class TunedConfig:
     fingerprint: str  #: adjacency fingerprint (:func:`graph_fingerprint`)
     profile: StructuralProfile
     reorder: str  #: chosen ordering (a REORDERINGS key or ``"none"``)
-    block_nodes: int
     version: int = TUNE_VERSION
     #: modeled cycles of the chosen configuration.
     tuned_cycles: float = 0.0
-    #: modeled cycles of the untuned default (none @ 512).
+    #: modeled cycles of the untuned default (``"none"``).
     default_cycles: float = 0.0
-    #: full sweep evidence: ``"<ordering>:<block_nodes>" -> cycles``.
+    #: full sweep evidence: ``"<ordering>" -> cycles``.
     sweep: dict = field(default_factory=dict)
 
     @property
@@ -131,10 +128,7 @@ class TunedConfig:
                 "fingerprint": self.fingerprint,
             },
             "profile": self.profile.to_json(),
-            "choice": {
-                "reorder": self.reorder,
-                "block_nodes": self.block_nodes,
-            },
+            "choice": {"reorder": self.reorder},
             "modeled_cycles": {
                 "tuned": self.tuned_cycles,
                 "default": self.default_cycles,
@@ -158,7 +152,6 @@ class TunedConfig:
                 fingerprint=str(payload["graph"]["fingerprint"]),
                 profile=StructuralProfile.from_json(payload["profile"]),
                 reorder=str(payload["choice"]["reorder"]),
-                block_nodes=int(payload["choice"]["block_nodes"]),
                 version=version,
                 tuned_cycles=float(payload["modeled_cycles"]["tuned"]),
                 default_cycles=float(payload["modeled_cycles"]["default"]),
@@ -219,14 +212,13 @@ def tune_graph(
     *,
     name: str | None = None,
     orderings: tuple[str, ...] | None = None,
-    block_sweep: tuple[int, ...] = CANDIDATE_BLOCK_NODES,
 ) -> TunedConfig:
-    """Sweep orderings x block sizes and return the tuned choice.
+    """Sweep the orderings and return the tuned choice.
 
-    The untuned default (``none`` @ :data:`DEFAULT_BLOCK_NODES`) always
-    participates, so the winner is modeled-no-slower than the default by
-    construction.  Strict ``<`` comparison keeps the earliest candidate
-    on ties, making the choice deterministic for a fixed fingerprint.
+    The untuned default (``"none"``) always participates, so the winner
+    is modeled-no-slower than the default by construction.  Strict
+    ``<`` comparison keeps the earliest candidate on ties, making the
+    choice deterministic for a fixed fingerprint.
     """
     if orderings is None:
         orderings = candidate_orderings()
@@ -238,31 +230,23 @@ def tune_graph(
             f"unknown reordering(s) {unknown}; registered: "
             f"{', '.join(candidate_orderings())}"
         )
-    block_sweep = tuple(int(c) for c in block_sweep)
-    if any(c <= 0 for c in block_sweep):
-        raise TuningError(f"block sizes must be positive: {block_sweep}")
     if DEFAULT_REORDER not in orderings:
         orderings = (DEFAULT_REORDER, *orderings)
-    if DEFAULT_BLOCK_NODES not in block_sweep:
-        block_sweep = tuple(sorted({*block_sweep, DEFAULT_BLOCK_NODES}))
     sweep: dict[str, float] = {}
-    best: tuple[str, int] | None = None
+    best = DEFAULT_REORDER
     best_cycles = float("inf")
     for oname in orderings:
         candidate, _ = apply_reordering(graph, oname)
-        for c in block_sweep:
-            cycles = modeled_iteration_cycles(candidate, block_nodes=c)
-            sweep[f"{oname}:{c}"] = cycles
-            if cycles < best_cycles:
-                best, best_cycles = (oname, c), cycles
-    assert best is not None
+        cycles = modeled_iteration_cycles(candidate)
+        sweep[oname] = cycles
+        if cycles < best_cycles:
+            best, best_cycles = oname, cycles
     return TunedConfig(
         graph_name=name or graph.name or "<unnamed>",
         fingerprint=graph_fingerprint(graph),
         profile=StructuralProfile.from_graph(graph),
-        reorder=best[0],
-        block_nodes=best[1],
+        reorder=best,
         tuned_cycles=best_cycles,
-        default_cycles=sweep[f"{DEFAULT_REORDER}:{DEFAULT_BLOCK_NODES}"],
+        default_cycles=sweep[DEFAULT_REORDER],
         sweep=sweep,
     )

@@ -83,14 +83,14 @@ class TestFigures:
 
     def test_fig6_normalized_to_best(self):
         result = fig6(
-            scale=0.5, graphs=("wiki",), block_sweep=(64, 256, 1024)
+            scale=0.5, graphs=("wiki",), block_sizes=(64, 256, 1024)
         )
         row = result.rows[0]
         values = [row["64"], row["256"], row["1024"]]
         assert min(values) == pytest.approx(1.0)
 
     def test_fig7_rows_per_block_size(self):
-        result = fig7(scale=0.5, block_sweep=(128, 512))
+        result = fig7(scale=0.5, block_sizes=(128, 512))
         assert [r["block_nodes"] for r in result.rows] == [128, 512]
 
 

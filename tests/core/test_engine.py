@@ -10,7 +10,7 @@ from repro.algorithms import (
     hits,
 )
 from repro.algorithms.bfs import default_source, reference_bfs
-from repro.core import MixenEngine, measured_main_phase_counters, model_for_engine
+from repro.core import MixenEngine, iteration_counters, model_for_engine
 from repro.errors import PartitionError
 from repro.frameworks import PullEngine
 from repro.graphs import load_dataset
@@ -225,22 +225,10 @@ class TestPhases:
 
 
 class TestTracedExecution:
-    def test_traced_propagate_matches_native(self):
-        from repro.machine import AccessTrace, AddressSpace
-
-        g = load_dataset("wiki", scale=0.25)
-        e = prepared(g)
-        trace = AccessTrace(AddressSpace(64))
-        x = np.random.default_rng(1).random(g.num_nodes)
-        y = e.traced_propagate(x, trace)
-        assert np.allclose(y, dense_reference_spmv(g, x), atol=1e-8)
-        assert trace.num_accesses > 0
-        assert trace.traffic.total_bytes > 0
-
     def test_main_iteration_counters(self):
         g = load_dataset("wiki", scale=0.5)
         e = prepared(g)
-        counters = measured_main_phase_counters(e)
+        counters = iteration_counters(e)
         assert counters.caches["L1"].references > 0
         assert counters.traffic.total_bytes > 0
 

@@ -124,7 +124,7 @@ class TestModelFidelity:
         ratios = {}
         for exact in (False, True):
             trace = AccessTrace(AddressSpace(SCALED_MACHINE.line_bytes))
-            engine.traced_main_iteration(trace)
+            engine.trace_iteration(trace)
             h = MemoryHierarchy(SCALED_MACHINE, exact_lru=exact)
             counters = h.run_trace(trace)
             ratios[exact] = counters.caches["L2"].hit_ratio

@@ -5,12 +5,9 @@ import pytest
 
 from repro.machine import (
     COLD,
-    footprint_curve,
-    footprint_hit_ratio,
     hits_from_distances,
     miss_ratio_curve,
     reuse_distances,
-    reuse_times,
 )
 
 
@@ -78,51 +75,3 @@ class TestMissRatioCurve:
     def test_empty_trace(self):
         curve = miss_ratio_curve(np.array([], np.int64), np.array([4]))
         assert curve.tolist() == [1.0]
-
-
-class TestReuseTimes:
-    def test_hand_checked(self):
-        rt = reuse_times(np.array([0, 1, 0, 0]))
-        assert rt.tolist() == [COLD, COLD, 2, 1]
-
-    def test_lower_bounds_distance(self):
-        # Reuse time >= reuse distance always.
-        rng = np.random.default_rng(3)
-        stream = rng.integers(0, 40, 1500)
-        rd = reuse_distances(stream)
-        rt = reuse_times(stream)
-        finite = rd != COLD
-        assert np.all(rt[finite] >= rd[finite])
-
-
-class TestFootprint:
-    def test_curve_monotone_in_window(self):
-        rng = np.random.default_rng(4)
-        stream = rng.integers(0, 64, 4000)
-        sizes = np.array([1, 8, 64, 512, 4000])
-        fp = footprint_curve(stream, sizes, seed=0)
-        assert np.all(np.diff(fp) >= -1e-9)
-
-    def test_window_one_has_footprint_one(self):
-        stream = np.arange(100)
-        fp = footprint_curve(stream, np.array([1]), seed=0)
-        assert fp[0] == pytest.approx(1.0)
-
-    def test_hit_ratio_within_tolerance_of_exact(self):
-        # The footprint estimate should track the exact LRU hit ratio.
-        rng = np.random.default_rng(5)
-        # Mixture: hot set of 8 lines + cold uniform tail over 256.
-        hot = rng.integers(0, 8, 3000)
-        cold = rng.integers(0, 256, 1000)
-        stream = np.concatenate([hot, cold])
-        rng.shuffle(stream)
-        exact = hits_from_distances(reuse_distances(stream), 16).mean()
-        approx = footprint_hit_ratio(stream, 16, seed=0)
-        assert approx == pytest.approx(exact, abs=0.15)
-
-    def test_zero_capacity_like_behaviour(self):
-        stream = np.arange(50)  # no reuse at all
-        assert footprint_hit_ratio(stream, 4) == 0.0
-
-    def test_empty(self):
-        assert footprint_hit_ratio(np.array([], np.int64), 8) == 0.0

@@ -1,13 +1,24 @@
-"""Tests for traced execution: the machine model records the paper's
-access patterns (seed push, Scatter-Cache-Gather, sink pull) whatever
-``--kernel`` backend executes the propagation."""
+"""Tests for tracing: the machine model records the paper's access
+patterns (the Cache step or the seed re-push, then Scatter-Gather)
+whatever ``--kernel`` backend the engine is built with."""
 
-import numpy as np
 import pytest
 
+import repro.core.kernels as kernels
+from repro.bench.experiments import _prepared
+from repro.core import FilteredEngine, ScgaKernel, iteration_counters
 from repro.core.engine import MixenEngine
 from repro.core.kernels import KERNEL_NAMES
-from repro.frameworks.blocking import BlockingEngine
+from repro.frameworks import (
+    BlockingEngine,
+    GraphMatEngine,
+    LigraEngine,
+    PolymerEngine,
+    PullEngine,
+    PushEngine,
+    engine_names,
+)
+from repro.frameworks.blocking import BlockLayout
 from repro.graphs import load_dataset
 from repro.machine import (
     SCALED_MACHINE,
@@ -35,9 +46,8 @@ def traced(graph, engine="block", kernel="bincount", **opts):
     engine = ENGINES[engine](graph, kernel=kernel, max_workers=2, **opts)
     engine.prepare()
     trace = AccessTrace(AddressSpace(SCALED_MACHINE.line_bytes))
-    x = np.random.default_rng(7).random(graph.num_nodes)
-    y = engine.traced_propagate(x, trace)
-    return engine, trace, y
+    engine.trace_iteration(trace)
+    return trace
 
 
 class TestTracedKernelDispatch:
@@ -45,27 +55,48 @@ class TestTracedKernelDispatch:
     @pytest.mark.parametrize("kernel", KERNEL_NAMES)
     def test_every_rung_traces_one_pattern(self, wiki, engine, kernel):
         def counters(kernel):
-            _, trace, _ = traced(wiki, engine, kernel)
+            trace = traced(wiki, engine, kernel)
             return MemoryHierarchy(SCALED_MACHINE).run_trace(trace)
 
         assert counters(kernel).as_dict() == counters("bincount").as_dict()
-
-    def test_traced_result_matches_native(self, wiki):
-        engine, _, y = traced(wiki, kernel="reduceat")
-        x = np.random.default_rng(7).random(wiki.num_nodes)
-        assert np.array_equal(y, engine.propagate(x))
 
 
 class TestTracedPhasePatterns:
     def test_seed_push_traced_in_ablation(self, wiki):
         # cache_step=False re-pushes the seed contribution per
         # iteration as the paper's CSR push: xSeed, seedIdx, scatter.
-        _, trace, _ = traced(wiki, "mixen", cache_step=False)
+        trace = traced(wiki, "mixen", cache_step=False)
         assert "seedIdx" in trace.space
         assert "xSeed" in trace.space
         assert "seedMsgs" not in trace.space
 
-    def test_sink_pull_registers_csc_streams(self, wiki):
-        _, trace, _ = traced(wiki, "mixen")
-        assert "sinkPtr" in trace.space
-        assert "sinkIdx" in trace.space
+
+class TestTraceRunsNoKernel:
+    """Tracing records a pattern and computes nothing: with every
+    propagation entry point raising, each engine still traces the
+    counters of an unpatched run."""
+
+    ENGINE_CLASSES = (
+        MixenEngine, FilteredEngine, BlockingEngine, PullEngine,
+        PushEngine, LigraEngine, PolymerEngine, GraphMatEngine,
+    )
+
+    def test_every_engine_class_is_patched(self):
+        names = {cls.name for cls in self.ENGINE_CLASSES}
+        assert names == set(engine_names())
+
+    @pytest.mark.parametrize("name", sorted(engine_names()))
+    def test_trace_runs_no_kernel(self, wiki, monkeypatch, name):
+        engine = _prepared(name, wiki)
+        expected = iteration_counters(engine).as_dict()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tracing ran a kernel")
+
+        monkeypatch.setattr(kernels, "reduce", refuse)
+        monkeypatch.setattr(BlockLayout, "spmv", refuse)
+        monkeypatch.setattr(ScgaKernel, "iterate", refuse)
+        monkeypatch.setattr(ScgaKernel, "set_seed_input", refuse)
+        for cls in self.ENGINE_CLASSES:
+            monkeypatch.setattr(cls, "propagate", refuse)
+        assert iteration_counters(engine).as_dict() == expected

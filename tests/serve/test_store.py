@@ -216,53 +216,3 @@ class TestPackEngine:
         engine.prepare()
         with pytest.raises(ServeError, match="unweighted"):
             pack_engine(engine)
-
-
-class TestTunedStaleness:
-    """Warm boots must refuse layouts built under a different tuned
-    config (DESIGN 4j)."""
-
-    @pytest.fixture()
-    def tuned(self, random_graph):
-        from repro.tuning import tune_graph
-
-        return tune_graph(
-            random_graph, orderings=("none",), block_sweep=(512,)
-        )
-
-    def test_same_tuned_stays_warm(self, random_graph, tmp_path, tuned):
-        store = LayoutStore(tmp_path)
-        boot_engine(
-            random_graph, store, kernel="bincount", tuned=tuned
-        )
-        _, boot = boot_engine(
-            random_graph, store, kernel="bincount", tuned=tuned
-        )
-        assert boot.hit and not boot.rebuilt
-
-    def test_untuned_layout_refused_under_tuned(
-        self, random_graph, tmp_path, tuned
-    ):
-        store = LayoutStore(tmp_path)
-        boot_engine(random_graph, store, kernel="bincount")
-        _, boot = boot_engine(
-            random_graph, store, kernel="bincount", tuned=tuned
-        )
-        assert not boot.hit
-        assert "stale tuned config" in boot.miss_reason
-        # and the rebuilt entry is keyed to the blob now
-        _, again = boot_engine(
-            random_graph, store, kernel="bincount", tuned=tuned
-        )
-        assert again.hit
-
-    def test_tuned_layout_refused_without_blob(
-        self, random_graph, tmp_path, tuned
-    ):
-        store = LayoutStore(tmp_path)
-        boot_engine(
-            random_graph, store, kernel="bincount", tuned=tuned
-        )
-        _, boot = boot_engine(random_graph, store, kernel="bincount")
-        assert not boot.hit
-        assert "stale tuned config" in boot.miss_reason

@@ -194,7 +194,6 @@ class TestTuneCommand:
         code, text = run_cli(
             "tune", "--graph", "wiki", "--scale", "0.25",
             "--orderings", "none,degree,bfs",
-            "--block-sweep", "128,512",
             "--out", str(path),
         )
         assert code == 0
@@ -207,8 +206,20 @@ class TestTuneCommand:
 
         payload = json.loads(blob.read_text())
         assert payload["graph"]["name"] == "wiki"
+        assert payload["choice"] == {
+            "reorder": payload["choice"]["reorder"]
+        }
         assert payload["choice"]["reorder"] in ("none", "degree", "bfs")
-        assert payload["choice"]["block_nodes"] in (128, 512)
+
+    def test_block_choice_flags_removed(self):
+        # block size is the Figure 6/7 model knob, not a tuned choice
+        for command, flag in (
+            ("tune", ["--block-sweep", "128,512"]),
+            ("serve", ["--tuned", "blob.json"]),
+        ):
+            build_parser().parse_args([command, "--graph", "wiki"])
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--graph", "wiki", *flag])
 
     def test_reorder_flag_choices(self):
         args = build_parser().parse_args(
@@ -230,14 +241,11 @@ class TestTuneCommand:
             "--tuned", str(blob),
         )
         assert code == 0
-        explicit = [
+        code, explicit_text = run_cli(
             "run", "--graph", "wiki", "--scale", "0.25",
             "--engine", "mixen", "--iterations", "5",
-            "--block-nodes", str(choice["block_nodes"]),
-        ]
-        if choice["reorder"] != "none":
-            explicit += ["--reorder", choice["reorder"]]
-        code, explicit_text = run_cli(*explicit)
+            "--reorder", choice["reorder"],
+        )
         assert code == 0
 
         def node_lines(text):

@@ -8,8 +8,6 @@ import pytest
 from repro.errors import TuningError
 from repro.graphs import Graph, load_dataset
 from repro.tuning import (
-    CANDIDATE_BLOCK_NODES,
-    DEFAULT_BLOCK_NODES,
     DEFAULT_REORDER,
     TUNE_VERSION,
     StructuralProfile,
@@ -29,13 +27,9 @@ def wiki():
 
 @pytest.fixture(scope="module")
 def tuned(wiki):
-    # a reduced sweep keeps the module fast; the default candidate is
-    # injected automatically
+    # a reduced sweep keeps the module fast
     return tune_graph(
-        wiki,
-        name="wiki",
-        orderings=("none", "degree", "bfs"),
-        block_sweep=(256, 512),
+        wiki, name="wiki", orderings=("none", "degree", "bfs")
     )
 
 
@@ -95,23 +89,20 @@ class TestTuneGraph:
         assert tuned.tuned_cycles <= tuned.default_cycles
         assert tuned.gain >= 1.0
 
-    def test_default_candidate_injected(self, tuned):
-        key = f"{DEFAULT_REORDER}:{DEFAULT_BLOCK_NODES}"
-        assert key in tuned.sweep
-        assert tuned.sweep[key] == tuned.default_cycles
+    def test_default_candidate_injected(self, wiki):
+        config = tune_graph(wiki, orderings=("degree",))
+        assert list(config.sweep) == [DEFAULT_REORDER, "degree"]
+        assert config.sweep[DEFAULT_REORDER] == config.default_cycles
 
     def test_sweep_covers_all_candidates(self, tuned):
-        # 3 orderings x (256, 512)
-        assert len(tuned.sweep) == 6
+        # one modeled point per ordering
+        assert list(tuned.sweep) == ["none", "degree", "bfs"]
         assert tuned.fingerprint
         assert tuned.version == TUNE_VERSION
 
     def test_deterministic_for_fixed_fingerprint(self, wiki, tuned):
         again = tune_graph(
-            wiki,
-            name="wiki",
-            orderings=("none", "degree", "bfs"),
-            block_sweep=(256, 512),
+            wiki, name="wiki", orderings=("none", "degree", "bfs")
         )
         assert again == tuned
         assert again.blob_id == tuned.blob_id
@@ -120,17 +111,12 @@ class TestTuneGraph:
         with pytest.raises(TuningError, match="unknown reordering"):
             tune_graph(wiki, orderings=("none", "metis"))
 
-    def test_bad_block_size_rejected(self, wiki):
-        with pytest.raises(TuningError, match="positive"):
-            tune_graph(wiki, block_sweep=(0, 512))
-
     def test_candidate_orderings_cover_registry(self):
         from repro.graphs import REORDERINGS
 
         orderings = candidate_orderings()
         assert orderings[0] == DEFAULT_REORDER
         assert set(REORDERINGS) <= set(orderings)
-        assert DEFAULT_BLOCK_NODES in CANDIDATE_BLOCK_NODES
 
 
 class TestBlobRoundtrip:
@@ -155,6 +141,16 @@ class TestBlobRoundtrip:
         bad.write_text("{not json")
         with pytest.raises(TuningError, match="unreadable"):
             load_tuned(bad)
+
+    def test_version_1_blob_refused(self, tuned, tmp_path):
+        # version 1 blobs carried a block-size choice
+        payload = tuned.to_json()
+        payload["version"] = 1
+        payload["choice"]["block_nodes"] = 128
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TuningError, match="version 1 != 2"):
+            load_tuned(path)
 
     def test_version_mismatch(self, tuned, tmp_path):
         payload = tuned.to_json()
@@ -187,9 +183,6 @@ class TestBlobRoundtrip:
 class TestTinyGraphs:
     def test_tune_single_block_graph(self):
         graph = Graph.from_edges(4, [0, 1, 2], [1, 2, 3], name="tiny")
-        config = tune_graph(
-            graph, orderings=("none",), block_sweep=(512,)
-        )
+        config = tune_graph(graph, orderings=("none",))
         assert config.reorder == DEFAULT_REORDER
-        assert config.block_nodes == DEFAULT_BLOCK_NODES
         assert config.tuned_cycles == config.default_cycles

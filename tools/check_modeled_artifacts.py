@@ -43,6 +43,8 @@ MODELED = (
     "ablation-balance",
     "ablation-compress",
     "extension",
+    "reordering",
+    "scaling",
 )
 
 #: artifact -> key patterns (at any depth) holding wall-clock values.
